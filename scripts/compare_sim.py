@@ -2,27 +2,32 @@
 """Analytics-vs-simulation comparison at the default highway scenario.
 
 Writes results/compare_defaults.csv for N in {10, 50, 100} and both
-technologies. Mirrors the cross-validation sweep used by the acceptance
-suite but with tunable effort.
+technologies, one `v2xmac compare` run per N. Mirrors the cross-validation
+sweep used by the acceptance suite but with tunable effort.
 """
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 
-from v2xmac.cli import COMPARE_HEADER, COMPARE_SCHEMA, _compare_rows
-from v2xmac.config import ScenarioConfig
+from v2xmac.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(seed, duration_s, replications, jobs, out):
-    lines = [COMPARE_SCHEMA, COMPARE_HEADER]
-    for n in (10, 50, 100):
-        scenario = ScenarioConfig().with_value("n", n).validate()
-        for tech in ("cv2x", "dot11p"):
-            for row in _compare_rows(tech, scenario, seed, duration_s,
-                                     replications, jobs):
-                lines.append(",".join(str(c) for c in row))
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in (10, 50, 100):
+            cfg, csv = Path(tmp) / f"n{n}.cfg", Path(tmp) / f"n{n}.csv"
+            cfg.write_text(f"n={n}\n")
+            code = main(["compare", "--config", str(cfg), "--out", str(csv),
+                         "--seed", str(seed), "--duration-s", str(duration_s),
+                         "--replications", str(replications), "--jobs", str(jobs)])
+            if code != 0:
+                return code
+            rows = csv.read_text().splitlines()
+            lines += rows if not lines else rows[2:]   # one schema line and header
     out.parent.mkdir(exist_ok=True)
     out.write_text("\n".join(lines) + "\n")
     print(f"wrote {out}")

@@ -3,19 +3,18 @@
 import sys
 from pathlib import Path
 
-from v2xmac.cli import RECIPES, main
+from v2xmac.cli import RECIPE_DIR, main, recipe_names
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run(out_dir="results", jobs=1):
+def run(out_dir="results"):
     out = ROOT / out_dir
     out.mkdir(exist_ok=True)
-    for name in sorted(RECIPES):
-        cfg = ROOT / "recipes" / f"{name}.cfg"
+    for name in recipe_names():
+        cfg = RECIPE_DIR / f"{name}.cfg"
         csv = out / f"{name}.csv"
-        code = main(["solve", "--config", str(cfg), "--out", str(csv),
-                     "--jobs", str(jobs)])
+        code = main(["solve", "--config", str(cfg), "--out", str(csv)])
         status = "ok" if code == 0 else f"exit {code}"
         print(f"{name}: {status} -> {csv}")
         if code != 0:
@@ -24,5 +23,4 @@ def run(out_dir="results", jobs=1):
 
 
 if __name__ == "__main__":
-    jobs = int(sys.argv[1]) if len(sys.argv) > 1 else 1
-    sys.exit(run(jobs=jobs))
+    sys.exit(run())

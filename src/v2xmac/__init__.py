@@ -1,12 +1,15 @@
-"""Analytical and simulation toolkit for the MAC layers of C-V2X Mode 4 and 802.11p."""
+"""Analytical and simulation toolkit for the MAC layers of C-V2X Mode 4 and 802.11p.
 
-from .chains import (CouplingInputs, SteadyStateVector, TransitionMatrix,
-                     build_chain, solve_steady_state)
+The explicit-chain oracle (`build_chain`, `solve_steady_state`) lives in
+`v2xmac.chains` and is not imported here, so that the closed forms and the
+CLI load without scipy.
+"""
+
 from .config import (Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams,
                      parse_config, serialize_config)
 from .coupling import (CouplingState, FixedPointReport, adaptive_cam_rate,
                        resolve_adaptive_t_c, solve_coupled)
-from .cv2x import Cv2xSolution, solve_cv2x, transmit_probability
+from .cv2x import Cv2xSolution, solve_cv2x
 from .dot11p import DelayTable, Dot11pSolution, solve_dot11p, state_delays, update_theta
 from .metrics import (MetricsReport, avg_delay_cv2x, avg_delay_dot11p,
                       channel_utilization, collision_prob_cv2x,
@@ -18,12 +21,11 @@ from .traffic import (GeneratorSolution, QueueSolution, combine_transition_probs
 __version__ = "0.1.0"
 
 __all__ = [
-    "CouplingInputs", "SteadyStateVector", "TransitionMatrix", "build_chain",
-    "solve_steady_state", "Cv2xParams", "Dot11pParams", "ScenarioConfig",
+    "Cv2xParams", "Dot11pParams", "ScenarioConfig",
     "TrafficParams", "parse_config", "serialize_config", "CouplingState",
     "FixedPointReport", "adaptive_cam_rate", "resolve_adaptive_t_c",
     "solve_coupled", "Cv2xSolution",
-    "solve_cv2x", "transmit_probability", "DelayTable", "Dot11pSolution",
+    "solve_cv2x", "DelayTable", "Dot11pSolution",
     "solve_dot11p", "state_delays", "update_theta", "MetricsReport",
     "avg_delay_cv2x", "avg_delay_dot11p", "channel_utilization",
     "collision_prob_cv2x", "collision_prob_dot11p", "evaluate_fixed_point",

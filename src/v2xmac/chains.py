@@ -26,17 +26,13 @@ from scipy.sparse import csr_matrix, identity, lil_matrix
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .config import ScenarioConfig
+from .dot11p import dot11p_stages
 from .errors import NoConvergence, NonStochasticMatrix, UnknownChainKind
 
 ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
 CHAIN_KINDS = ("cam", "denm", "queue", "cv2x", "dot11p")
-
-
-def dot11p_stages(c_min: int):
-    """Backoff stage set: counter values 0 and 1 both map to stage 0."""
-    return [0] + list(range(2, c_min))
 
 
 @dataclass(frozen=True)

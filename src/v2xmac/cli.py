@@ -1,4 +1,4 @@
-"""Command-line interface: solve, sweep, simulate, compare, recipes.
+"""Command-line interface: solve, simulate, compare, recipes.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on solver
 non-convergence. All output is CSV with a schema header line, written
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from importlib.resources import files
 from pathlib import Path
 
 from .config import ScenarioConfig, parse_config
@@ -28,90 +28,7 @@ COMPARE_SCHEMA = "#schema=v2xmac.compare.v1"
 COMPARE_HEADER = ("tech,N,Gamma,T_C,T_D,K,lambda,P_rk,AIFSN,metric,"
                   "analytical,simulated,rel_err,ci95")
 
-RECIPES = {
-    "fig6a_delay_vs_N": """\
-# average delay vs N for both technologies
-tech=both
-traffic.t_c=100
-traffic.t_d=100
-traffic.k=5
-traffic.lambda=1.0
-cv2x.gamma=100
-cv2x.p_rk=0.4
-sweep.parameter=n
-sweep.from=50
-sweep.to=300
-sweep.step=50
-""",
-    "fig6b_theta_vs_N": """\
-# channel busy ratio vs N, 802.11p
-tech=dot11p
-traffic.t_c=100
-traffic.t_d=100
-traffic.k=5
-traffic.lambda=1.0
-sweep.parameter=n
-sweep.from=50
-sweep.to=300
-sweep.step=50
-""",
-    "fig7a_delay_vs_TC": """\
-# average delay vs T_C at N=300
-tech=both
-n=300
-traffic.t_d=100
-traffic.k=5
-traffic.lambda=1.0
-cv2x.gamma=100
-cv2x.p_rk=0.4
-sweep.parameter=t_c
-sweep.from=100
-sweep.to=1000
-sweep.step=100
-""",
-    "fig7b_local_optimum": """\
-# C-V2X delay vs T_C showing the local optimum
-tech=cv2x
-n=50
-traffic.t_d=100
-traffic.k=9
-traffic.lambda=0.2
-cv2x.gamma=100
-cv2x.p_rk=0.4
-sweep.parameter=t_c
-sweep.from=100
-sweep.to=1000
-sweep.step=100
-""",
-    "fig8a_collision_vs_N": """\
-# collision probability vs N for both technologies
-tech=both
-traffic.t_c=100
-traffic.t_d=100
-traffic.k=5
-traffic.lambda=1.0
-cv2x.gamma=100
-cv2x.p_rk=0.4
-sweep.parameter=n
-sweep.from=50
-sweep.to=300
-sweep.step=50
-""",
-    "fig8b_utilization_vs_N": """\
-# average channel utilization vs N for both technologies
-tech=both
-traffic.t_c=100
-traffic.t_d=100
-traffic.k=5
-traffic.lambda=1.0
-cv2x.gamma=100
-cv2x.p_rk=0.4
-sweep.parameter=n
-sweep.from=50
-sweep.to=300
-sweep.step=50
-""",
-}
+RECIPE_DIR = files(__package__) / "recipes"   # the shipped *.cfg recipes
 
 
 def _fmt(x, places=9):
@@ -125,28 +42,22 @@ def _fmt(x, places=9):
 
 
 def _scenario_points(cfg: ScenarioConfig):
-    """Expand the sweep into (tech, scenario) points in deterministic order."""
+    """Expand the sweep into (tech, scenario) points in deterministic order.
+
+    Each scenario is the effective one: it carries the rate-controlled T_C
+    when adaptive_cam is set, so every command solves and simulates alike.
+    """
     if cfg.sweep is None:
         bases = [cfg]
     else:
         bases = [cfg.with_value(cfg.sweep.parameter, v) for v in cfg.sweep.values()]
-    points = []
-    for base in bases:
-        for tech in base.techs():
-            points.append((tech, base))
-    return points
+    return [(tech, resolve_adaptive_t_c(tech, base))
+            for base in bases for tech in base.techs()]
 
 
 def _coords(tech, s: ScenarioConfig):
     return [tech, s.n, s.cv2x.gamma, s.traffic.t_c, s.traffic.t_d, s.traffic.k,
             _fmt(s.traffic.lam), _fmt(s.cv2x.p_rk), s.dot11p.aifsn]
-
-
-def _solve_point(args):
-    tech, scenario = args
-    scenario = resolve_adaptive_t_c(tech, scenario)
-    report = solve_coupled(tech, scenario)
-    return evaluate_fixed_point(report, scenario), scenario
 
 
 def _write(out_path, lines):
@@ -159,15 +70,9 @@ def _write(out_path, lines):
 
 def cmd_solve(args):
     cfg = parse_config(Path(args.config).read_text())
-    points = _scenario_points(cfg)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_solve_point, points))
-    else:
-        results = [_solve_point(p) for p in points]
     lines = [SOLVE_SCHEMA, SOLVE_HEADER]
-    for (tech, _), (m, s) in zip(points, results):
-        # the effective scenario carries the rate-controlled T_C, if any
+    for tech, s in _scenario_points(cfg):
+        m = evaluate_fixed_point(solve_coupled(tech, s), s)
         row = _coords(tech, s) + [
             _fmt(m.theta), _fmt(m.p_qe), _fmt(m.p_t), _fmt(m.p_txo),
             _fmt(m.p_col), _fmt(m.d_avg_ms), _fmt(m.cu_avg),
@@ -180,13 +85,16 @@ def cmd_solve(args):
 def cmd_simulate(args):
     cfg = parse_config(Path(args.config).read_text())
     points = _scenario_points(cfg)
+    if args.trace and len(points) > 1:
+        raise ConfigParseError(f"--trace needs a config with one scenario point, "
+                               f"not {len(points)} (tech=both counts as two)")
+    trace_sink = None
+    trace_lines = []
+    if args.trace:
+        def trace_sink(t_us, vid, event, detail):
+            trace_lines.append(f"{t_us},{vid},{event},{detail}")
     lines = [SIM_SCHEMA, SIM_HEADER]
     for tech, s in points:
-        trace_sink = None
-        trace_lines = []
-        if args.trace:
-            def trace_sink(t_us, vid, event, detail):
-                trace_lines.append(f"{t_us},{vid},{event},{detail}")
         rep = run_sim(tech, s, seed=args.seed, duration_s=args.duration_s,
                       replications=args.replications, jobs=args.jobs,
                       trace=trace_sink)
@@ -197,50 +105,47 @@ def cmd_simulate(args):
             _fmt(rep.ci95["cu_avg"]), rep.drops, rep.transmissions,
             _fmt(rep.reliable)]
         lines.append(",".join(str(c) for c in row))
-        if args.trace:
-            Path(args.trace).write_text("\n".join(trace_lines) + "\n")
+    if args.trace:
+        Path(args.trace).write_text("\n".join(trace_lines) + "\n")
     _write(args.out, lines)
     return 0
-
-
-def _compare_rows(tech, s, seed, duration_s, replications, jobs):
-    report = solve_coupled(tech, s)
-    m = evaluate_fixed_point(report, s)
-    sim = run_sim(tech, s, seed=seed, duration_s=duration_s,
-                  replications=replications, jobs=jobs)
-    # the 802.11p delay formula clocks generation to transmission end
-    sim_d = sim.d_end_avg_hat_ms if tech == "dot11p" else sim.d_avg_hat_ms
-    rows = []
-    for metric, anal, simv, ci in (
-            ("P_col", m.p_col, sim.p_col_hat, sim.ci95["p_col"]),
-            ("d_avg_ms", m.d_avg_ms, sim_d, sim.ci95["d_avg_ms"]),
-            ("CU_avg", m.cu_avg, sim.cu_avg_hat, sim.ci95["cu_avg"])):
-        rel = (simv - anal) / anal if anal != 0.0 else (0.0 if simv == 0.0 else float("inf"))
-        rows.append(_coords(tech, s) + [metric, _fmt(anal), _fmt(simv),
-                                        _fmt(rel), _fmt(ci)])
-    return rows
 
 
 def cmd_compare(args):
     cfg = parse_config(Path(args.config).read_text())
     lines = [COMPARE_SCHEMA, COMPARE_HEADER]
     for tech, s in _scenario_points(cfg):
-        for row in _compare_rows(tech, s, args.seed, args.duration_s,
-                                 args.replications, args.jobs):
+        m = evaluate_fixed_point(solve_coupled(tech, s), s)
+        sim = run_sim(tech, s, seed=args.seed, duration_s=args.duration_s,
+                      replications=args.replications, jobs=args.jobs)
+        # the 802.11p delay formula clocks generation to transmission end
+        sim_d = sim.d_end_avg_hat_ms if tech == "dot11p" else sim.d_avg_hat_ms
+        for metric, anal, simv, ci in (
+                ("P_col", m.p_col, sim.p_col_hat, sim.ci95["p_col"]),
+                ("d_avg_ms", m.d_avg_ms, sim_d, sim.ci95["d_avg_ms"]),
+                ("CU_avg", m.cu_avg, sim.cu_avg_hat, sim.ci95["cu_avg"])):
+            rel = (simv - anal) / anal if anal != 0.0 else (0.0 if simv == 0.0 else float("inf"))
+            row = _coords(tech, s) + [metric, _fmt(anal), _fmt(simv), _fmt(rel), _fmt(ci)]
             lines.append(",".join(str(c) for c in row))
     _write(args.out, lines)
     return 0
 
 
+def recipe_names():
+    """Names of the shipped recipes (file stems), sorted."""
+    return sorted(p.name[:-len(".cfg")] for p in RECIPE_DIR.iterdir()
+                  if p.name.endswith(".cfg"))
+
+
 def cmd_recipes(args):
+    names = recipe_names()
     if args.name is None:
-        for name in sorted(RECIPES):
+        for name in names:
             print(name)
         return 0
-    if args.name not in RECIPES:
-        raise ConfigParseError(f"unknown recipe {args.name!r}; "
-                               f"one of {sorted(RECIPES)}")
-    text = RECIPES[args.name]
+    if args.name not in names:
+        raise ConfigParseError(f"unknown recipe {args.name!r}; one of {names}")
+    text = (RECIPE_DIR / f"{args.name}.cfg").read_text()
     if args.out and args.out != "-":
         Path(args.out).write_text(text)
     else:
@@ -257,17 +162,14 @@ def build_parser():
     def common(p, sim=False):
         p.add_argument("--config", required=True, help="scenario config file")
         p.add_argument("--out", default="-", help="output CSV path (default stdout)")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
         if sim:
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes for the replications")
             p.add_argument("--seed", type=int, default=1)
             p.add_argument("--duration-s", dest="duration_s", type=float, default=60.0)
             p.add_argument("--replications", type=int, default=20)
 
     p = sub.add_parser("solve", help="solve the coupled fixed point(s)")
-    common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("sweep", help="alias of solve for sweep configs")
     common(p)
     p.set_defaults(func=cmd_solve)
 

@@ -27,8 +27,8 @@ class TrafficParams:
     def validate(self):
         if not 100 <= self.t_c <= 1000:
             raise ConfigParseError("T_C must lie in [100, 1000] subframes", field="traffic.t_c")
-        if self.t_d < 1:
-            raise ConfigParseError("T_D must be >= 1 subframe", field="traffic.t_d")
+        if self.t_d < 2:
+            raise ConfigParseError("T_D must be >= 2 subframes", field="traffic.t_d")
         if not 1 <= self.k <= 9:
             raise ConfigParseError("K must lie in [1, 9]", field="traffic.k")
         if self.lam <= 0:

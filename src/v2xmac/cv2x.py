@@ -90,8 +90,3 @@ def _check_mass(sol: Cv2xSolution):
     if sol.pi_idle < -1e-15 or sol.pi_w.min() < -1e-15 or sol.pi_rc.min() < -1e-15:
         raise InvalidMass("negative steady-state probability; parameters are "
                           "outside the closed form's validity region")
-
-
-def transmit_probability(sol: Cv2xSolution, p_qne: float) -> float:
-    """Per-subframe transmit probability: opportunity times non-empty queue."""
-    return sol.p_txo * p_qne

@@ -6,9 +6,13 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .chains import dot11p_stages
 from .config import Dot11pParams
 from .errors import ChannelSaturated
+
+
+def dot11p_stages(c_min: int):
+    """Backoff stage set: counter values 0 and 1 both map to stage 0."""
+    return [0] + list(range(2, c_min))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrafficParams
-from .errors import DegenerateQueue, DegenerateTransmitProbability
+from .errors import DegenerateQueue, DegenerateTransmitProbability, ModelValidityError
 
 SUBFRAME_US = 1000.0  # the generators and the queue step once per 1 ms subframe
 
@@ -69,12 +69,20 @@ def _generator_arrays(t_l: int, p_t: float, repeat_weight: float):
     return tx, txp
 
 
-def solve_cam(params: TrafficParams, p_t: float) -> GeneratorSolution:
-    """CAM generator steady state for a given transmit probability."""
+def _check_generator(period: int, p_t: float, name: str):
     if not 0.0 < p_t <= 1.0:
         raise DegenerateTransmitProbability(
             f"P_t = {p_t!r}; the blocked states have no exit at P_t = 0")
+    if period < 2:
+        # z = 1 - (1 - P_t)^(period - 1) vanishes, and every family divides by it
+        raise ModelValidityError(f"{name} = {period!r}; the generator closed form "
+                                 "needs a period of at least 2 subframes")
+
+
+def solve_cam(params: TrafficParams, p_t: float) -> GeneratorSolution:
+    """CAM generator steady state for a given transmit probability."""
     t_c = params.t_c
+    _check_generator(t_c, p_t, "T_C")
     q = 1.0 - p_t
     z = 1.0 - q ** (t_c - 1)
     tx0 = z / (t_c * (1.0 - p_t * q ** (t_c - 1)))
@@ -84,10 +92,8 @@ def solve_cam(params: TrafficParams, p_t: float) -> GeneratorSolution:
 
 def solve_denm(params: TrafficParams, p_t: float) -> GeneratorSolution:
     """DENM generator steady state, including the idle-state mass."""
-    if not 0.0 < p_t <= 1.0:
-        raise DegenerateTransmitProbability(
-            f"P_t = {p_t!r}; the blocked states have no exit at P_t = 0")
     t_d, k = params.t_d, params.k
+    _check_generator(t_d, p_t, "T_D")
     sigma = params.sigma
     q = 1.0 - p_t
     z = 1.0 - q ** (t_d - 1)

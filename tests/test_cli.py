@@ -1,9 +1,13 @@
 """CLI subcommands, config round-trip, CSV schemas, exit codes."""
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from v2xmac.cli import RECIPES, main
+from v2xmac import cli
+from v2xmac.cli import RECIPE_DIR, main, recipe_names
 from v2xmac.config import parse_config, serialize_config
 from v2xmac.errors import ConfigParseError
 
@@ -75,17 +79,15 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_parallel_jobs_identical_output(self, tmp_path):
-        cfg = write(tmp_path, SWEEP)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["solve", "--config", cfg, "--out", str(a), "--jobs", "1"]) == 0
-        assert main(["solve", "--config", cfg, "--out", str(b), "--jobs", "4"]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["solve", "--config", write(tmp_path, "cv2x.p_rk=0.9\n")])
         assert code == 2
         assert "p_rk" in capsys.readouterr().err
+
+    def test_t_d_below_two_is_a_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "tech=cv2x\nn=50\ntraffic.t_d=1\n")
+        assert main(["solve", "--config", cfg]) == 2
+        assert "traffic.t_d" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -112,6 +114,16 @@ class TestSimulateCommand:
             assert event in {"generation", "enqueue", "drop", "reservation",
                              "transmission", "collision"}
 
+    def test_trace_rejects_several_points(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_sim", lambda *a, **kw: calls.append(a))
+        cfg = write(tmp_path, "tech=both\nn=3\n")
+        trace = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", cfg, "--duration-s", "10",
+                     "--replications", "1", "--trace", str(trace)]) == 2
+        assert "--trace" in capsys.readouterr().err
+        assert calls == [] and not trace.exists()
+
 
 class TestCompareCommand:
     def test_compare_emits_three_metrics_per_point(self, tmp_path, capsys):
@@ -123,6 +135,18 @@ class TestCompareCommand:
         metrics = [l.split(",")[9] for l in lines[2:]]
         assert metrics == ["P_col", "d_avg_ms", "CU_avg"]
 
+    def test_adaptive_cam_t_c_matches_solve(self, tmp_path, capsys):
+        cfg = write(tmp_path, "tech=dot11p\nn=300\nadaptive_cam=true\n")
+        assert main(["solve", "--config", cfg]) == 0
+        solved = capsys.readouterr().out.strip().splitlines()[2:]
+        assert main(["compare", "--config", cfg, "--duration-s", "10",
+                     "--replications", "1"]) == 0
+        compared = capsys.readouterr().out.strip().splitlines()[2:]
+        solve_t_c = {row.split(",")[3] for row in solved}
+        compare_t_c = {row.split(",")[3] for row in compared}
+        assert solve_t_c == compare_t_c
+        assert solve_t_c != {"100"}   # the policy stretched T_C at this load
+
 
 class TestRecipes:
     def test_listing(self, capsys):
@@ -130,20 +154,21 @@ class TestRecipes:
         names = capsys.readouterr().out.split()
         assert "fig7b_local_optimum" in names
         assert len(names) == 6
+        assert names == ["fig6a_delay_vs_N", "fig6b_theta_vs_N", "fig7a_delay_vs_TC",
+                         "fig7b_local_optimum", "fig8a_collision_vs_N",
+                         "fig8b_utilization_vs_N"]
 
     def test_emit_matches_shipped_file(self, capsys):
         assert main(["recipes", "fig6a_delay_vs_N"]) == 0
         text = capsys.readouterr().out
-        shipped = Path(__file__).resolve().parent.parent / "recipes" / "fig6a_delay_vs_N.cfg"
-        assert text == shipped.read_text()
+        assert text == (RECIPE_DIR / "fig6a_delay_vs_N.cfg").read_text()
 
-    @pytest.mark.parametrize("name", sorted(RECIPES))
+    @pytest.mark.parametrize("name", recipe_names())
     def test_all_recipes_parse(self, name):
-        parse_config(RECIPES[name])
+        parse_config((RECIPE_DIR / f"{name}.cfg").read_text())
 
     def test_fig6a_recipe_solves_to_curve_family(self, tmp_path):
-        cfg = tmp_path / "r.cfg"
-        cfg.write_text(RECIPES["fig6a_delay_vs_N"])
+        cfg = RECIPE_DIR / "fig6a_delay_vs_N.cfg"
         out = tmp_path / "r.csv"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         rows = out.read_text().strip().splitlines()[2:]
@@ -152,3 +177,13 @@ class TestRecipes:
 
     def test_unknown_recipe(self, capsys):
         assert main(["recipes", "fig99"]) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is the oracle's dependency only; the CLI must not pay its import
+    code = ("import sys, v2xmac.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

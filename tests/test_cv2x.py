@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import coupling, scenario
 from v2xmac.chains import build_chain, solve_steady_state
 from v2xmac.config import Cv2xParams
-from v2xmac.cv2x import solve_cv2x, transmit_probability
+from v2xmac.cv2x import solve_cv2x
 from v2xmac.errors import SaturatedQueue
 
 TRIPLES = [(100, 5, 15), (50, 10, 30), (20, 25, 75)]
@@ -75,11 +75,6 @@ class TestClosedForm:
 
 
 class TestTransmitProbability:
-    def test_empty_queue_never_transmits(self):
-        sol = solve_cv2x(Cv2xParams(), 0.4, 0.6, 0.2)
-        assert transmit_probability(sol, 0.0) == 0.0
-
     def test_product_form(self):
         sol = solve_cv2x(Cv2xParams(), 0.4, 0.6, 0.2)
-        assert transmit_probability(sol, 0.6) == pytest.approx(sol.p_txo * 0.6)
         assert sol.p_t == pytest.approx(sol.p_txo * 0.6)

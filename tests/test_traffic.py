@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import coupling, max_abs, scenario
 from v2xmac.chains import build_chain, solve_steady_state
-from v2xmac.config import TrafficParams
-from v2xmac.errors import DegenerateQueue, DegenerateTransmitProbability
+from v2xmac.config import ScenarioConfig, TrafficParams
+from v2xmac.coupling import solve_coupled
+from v2xmac.errors import (DegenerateQueue, DegenerateTransmitProbability,
+                           ModelValidityError)
 from v2xmac.traffic import (combine_transition_probs, per_slot_rate,
                             per_subframe_prob, solve_cam, solve_denm,
                             solve_queue)
@@ -76,6 +78,18 @@ class TestDenm:
         assert abs(sol.pi_tx[0] - 1.0 / (1.0 + 1.0 / sigma)) < 1e-12
         assert np.all(sol.pi_txp == 0.0)
         assert np.all(sol.pi_tx[1:] == 0.0)
+
+    @pytest.mark.parametrize("solve,params", [
+        (solve_denm, TrafficParams(t_d=1)), (solve_cam, TrafficParams(t_c=1))])
+    def test_rejects_period_below_two(self, solve, params):
+        # unvalidated params: the closed form would divide by 1 - (1 - P_t)^0
+        with pytest.raises(ModelValidityError):
+            solve(params, 0.5)
+
+    @pytest.mark.parametrize("tech", ["cv2x", "dot11p"])
+    def test_coupled_solve_rejects_t_d_one(self, tech):
+        with pytest.raises(ModelValidityError):
+            solve_coupled(tech, ScenarioConfig(n=50, traffic=TrafficParams(t_d=1)))
 
     def test_instant_retrigger_limit(self):
         # lambda * t_tilde -> inf with K=1 alternates idle <-> transmit
