@@ -3,16 +3,25 @@
 Time convention: one subframe = 1 ms. T_C and T_D are given in subframes,
 lambda in packets/s, t_tilde in seconds. 802.11p timing constants are in
 microseconds with aSlotTime = 13 us as the slot unit.
+
+The dataclasses are the one source of each config key, its type and its
+default. The key table, `parse_config` and `serialize_config` derive from
+their fields, and written lines and swept values share one setter.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Optional, get_type_hints
 
 from .errors import ConfigParseError
 
 STANDARD_WINDOWS = {100: (5, 15), 50: (10, 30), 20: (25, 75)}
+
+
+def rc_window(gamma):
+    """The (r_low, r_high) RC draw bounds a selection window implies."""
+    return STANDARD_WINDOWS.get(gamma, (5, 15))
 
 
 @dataclass(frozen=True)
@@ -20,7 +29,7 @@ class TrafficParams:
     t_c: int = 100            # CAM inter-arrival, subframes
     t_d: int = 100            # DENM repetition interval, subframes
     k: int = 5                # DENM transmissions per event
-    lam: float = 1.0          # DENM trigger intensity, packets/s
+    lam: float = field(default=1.0, metadata={"key": "lambda"})   # DENM trigger intensity, /s
     t_tilde: float = 0.001    # trigger window, seconds (one subframe)
     m: int = 10               # queue capacity, packets
 
@@ -100,19 +109,35 @@ class Dot11pParams:
         return math.ceil((self.sifs_us + self.aifsn * self.slot_us) / self.slot_us)
 
 
+_SWEEP_SLACK = 1e-9   # a swept value this far above sweep.to still counts
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     parameter: str
-    start: float
-    stop: float
+    start: float = field(metadata={"key": "from"})
+    stop: float = field(metadata={"key": "to"})
     step: float
 
+    def __post_init__(self):
+        if self.parameter not in _SWEEPABLE:
+            raise ConfigParseError(
+                f"unknown sweep parameter {self.parameter!r}; "
+                f"one of {sorted(_SWEEPABLE)}", field="sweep.parameter")
+        # a step that moves every value in the range keeps values() finite;
+        # this also rejects an infinite bound and a NaN step
+        if not self.step > 0 or self.start + self.step == self.start \
+                or self.stop + self.step == self.stop:
+            raise ConfigParseError("sweep step must be > 0 and move every value",
+                                   field="sweep.step")
+        if not self.start <= self.stop + _SWEEP_SLACK:
+            raise ConfigParseError("sweep.to lies below sweep.from; the sweep is empty",
+                                   field="sweep.to")
+
     def values(self):
-        if self.step <= 0:
-            raise ConfigParseError("sweep step must be > 0", field="sweep.step")
         out = []
         v = self.start
-        while v <= self.stop + 1e-9:
+        while v <= self.stop + _SWEEP_SLACK:
             out.append(v)
             v += self.step
         return out
@@ -136,91 +161,91 @@ class ScenarioConfig:
         self.traffic.validate()
         self.cv2x.validate()
         self.dot11p.validate()
-        if self.sweep is not None and self.sweep.parameter not in _SWEEPABLE:
-            raise ConfigParseError(
-                f"unknown sweep parameter {self.sweep.parameter!r}; "
-                f"one of {sorted(_SWEEPABLE)}", field="sweep.parameter")
         return self
 
     def techs(self):
         return ("cv2x", "dot11p") if self.tech == "both" else (self.tech,)
 
     def with_value(self, parameter: str, value: float) -> "ScenarioConfig":
-        """Return a copy with one sweepable field replaced."""
+        """Return a validated copy with one sweepable field set as if written."""
         if parameter not in _SWEEPABLE:
             raise ConfigParseError(f"unknown parameter {parameter!r}", field=parameter)
-        return _SWEEPABLE[parameter](self, value)
+        return _assign(self, _SWEEPABLE[parameter], value).validate()
 
 
-def _set_traffic(name, cast):
-    def setter(cfg, value):
-        return replace(cfg, traffic=replace(cfg.traffic, **{name: cast(value)}))
-    return setter
+def _keys(prefix, cls):
+    """(key, attribute, type) for each field of a dataclass; metadata "key" renames."""
+    hints = get_type_hints(cls)
+    return [(prefix + f.metadata.get("key", f.name), f.name, hints[f.name])
+            for f in fields(cls)]
 
 
-def _set_cv2x(name, cast):
-    def setter(cfg, value):
-        return replace(cfg, cv2x=replace(cfg.cv2x, **{name: cast(value)}))
-    return setter
+def _key_table():
+    """key -> (section or None, attribute, type): the top-level scalars, then each section."""
+    top = _keys("", ScenarioConfig)
+    table = {key: (None, attr, typ) for key, attr, typ in top if typ in (bool, int, float, str)}
+    for section, _, cls in top:
+        if is_dataclass(cls):
+            table.update((key, (section, attr, typ))
+                         for key, attr, typ in _keys(section + ".", cls))
+    return table
 
 
-def _set_gamma(cfg, value):
-    g = int(value)
-    lo, hi = STANDARD_WINDOWS.get(g, (cfg.cv2x.r_low, cfg.cv2x.r_high))
-    return replace(cfg, cv2x=replace(cfg.cv2x, gamma=g, r_low=lo, r_high=hi))
-
-
-_SWEEPABLE = {
-    "n": lambda cfg, v: replace(cfg, n=int(v)),
-    "t_c": _set_traffic("t_c", int),
-    "t_d": _set_traffic("t_d", int),
-    "k": _set_traffic("k", int),
-    "lambda": _set_traffic("lam", float),
-    "gamma": _set_gamma,
-    "p_rk": _set_cv2x("p_rk", float),
-}
-
+_FIELDS = _key_table()
+_SWEEP_FIELDS = {key: (attr, typ) for key, attr, typ in _keys("sweep.", SweepSpec)}
+_SWEEPABLE = {key.rpartition(".")[2]: key for key in (
+    "n", "traffic.t_c", "traffic.t_d", "traffic.k", "traffic.lambda", "cv2x.gamma",
+    "cv2x.p_rk")}
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_bool(raw, line, key):
+def _cast(typ, value, key, line=None):
+    """Cast a written or swept value to a field's type, rejecting what does not fit."""
+    if typ is str:
+        return str(value)
+    if typ is bool:
+        flag = value if isinstance(value, bool) else _BOOL.get(str(value).lower())
+        if flag is None:
+            raise ConfigParseError(f"expected a boolean, got {value!r}", line=line, field=key)
+        return flag
     try:
-        return _BOOL[raw.strip().lower()]
-    except KeyError:
-        raise ConfigParseError(f"expected a boolean, got {raw!r}", line=line, field=key)
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigParseError(f"cannot parse {value!r}", line=line, field=key) from None
+    if not math.isfinite(number):
+        raise ConfigParseError(f"expected a finite number, got {value!r}", line=line, field=key)
+    if typ is int:
+        if not number.is_integer():
+            raise ConfigParseError(f"expected an integer, got {value!r}", line=line, field=key)
+        return int(number)
+    return number
 
 
-_KEYS = {
-    "tech": ("tech", str),
-    "n": ("n", int),
-    "adaptive_cam": ("adaptive_cam", None),
-    "traffic.t_c": ("traffic.t_c", int),
-    "traffic.t_d": ("traffic.t_d", int),
-    "traffic.k": ("traffic.k", int),
-    "traffic.lambda": ("traffic.lam", float),
-    "traffic.t_tilde": ("traffic.t_tilde", float),
-    "traffic.m": ("traffic.m", int),
-    "cv2x.gamma": ("cv2x.gamma", int),
-    "cv2x.r_low": ("cv2x.r_low", int),
-    "cv2x.r_high": ("cv2x.r_high", int),
-    "cv2x.p_rk": ("cv2x.p_rk", float),
-    "cv2x.p_sch": ("cv2x.p_sch", float),
-    "cv2x.csrs_per_subframe": ("cv2x.csrs_per_subframe", int),
-    "dot11p.c_min": ("dot11p.c_min", int),
-    "dot11p.aifsn": ("dot11p.aifsn", int),
-    "dot11p.slot_us": ("dot11p.slot_us", float),
-    "dot11p.sifs_us": ("dot11p.sifs_us", float),
-    "dot11p.tx_slots": ("dot11p.tx_slots", int),
-    "sweep.parameter": ("sweep.parameter", str),
-    "sweep.from": ("sweep.from", float),
-    "sweep.to": ("sweep.to", float),
-    "sweep.step": ("sweep.step", float),
-}
+def _assign(cfg: ScenarioConfig, key: str, value, line=None) -> ScenarioConfig:
+    """Return cfg with one key set: the one setter for written lines and swept values.
+
+    The value is cast by the field's type; validation is the caller's. Setting
+    cv2x.gamma moves the RC window to rc_window(gamma) when the current window
+    is the one the old gamma implies, and keeps a custom window.
+    """
+    if key not in _FIELDS:
+        raise ConfigParseError(f"unknown key {key!r}", line=line, field=key)
+    section, attr, typ = _FIELDS[key]
+    update = {attr: _cast(typ, value, key, line)}
+    if section is None:
+        return replace(cfg, **update)
+    params = getattr(cfg, section)
+    if key == "cv2x.gamma" and (params.r_low, params.r_high) == rc_window(params.gamma):
+        update["r_low"], update["r_high"] = rc_window(update["gamma"])
+    return replace(cfg, **{section: replace(params, **update)})
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse the flat dotted key=value format into a validated ScenarioConfig."""
-    values = {}
+    """Parse the flat dotted key=value format into a validated ScenarioConfig.
+
+    Lines apply in the order written, each through the setter that sweeps use.
+    """
+    cfg, sweep = ScenarioConfig(), {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -228,92 +253,35 @@ def parse_config(text: str) -> ScenarioConfig:
         if "=" not in stripped:
             raise ConfigParseError("expected key=value", line=lineno)
         key, _, val = stripped.partition("=")
-        key = key.strip().lower()
-        val = val.strip()
-        if key not in _KEYS:
-            raise ConfigParseError(f"unknown key {key!r}", line=lineno, field=key)
-        target, cast = _KEYS[key]
-        if cast is None:
-            values[target] = _parse_bool(val, lineno, key)
+        key, val = key.strip().lower(), val.strip()
+        if key in _SWEEP_FIELDS:
+            attr, typ = _SWEEP_FIELDS[key]
+            sweep[attr] = _cast(typ, val, key, lineno)
         else:
-            try:
-                values[target] = cast(val)
-            except ValueError:
-                raise ConfigParseError(f"cannot parse {val!r}", line=lineno, field=key)
+            cfg = _assign(cfg, key, val, lineno)
+    cfg = cfg.validate()
+    if not sweep:
+        return cfg
+    missing = [key for key, (attr, _) in _SWEEP_FIELDS.items() if attr not in sweep]
+    if missing:
+        raise ConfigParseError(f"sweep requires {missing}", field="sweep")
+    sweep["parameter"] = sweep["parameter"].lower()
+    return replace(cfg, sweep=SweepSpec(**sweep))
 
-    traffic = TrafficParams(
-        t_c=values.get("traffic.t_c", 100),
-        t_d=values.get("traffic.t_d", 100),
-        k=values.get("traffic.k", 5),
-        lam=values.get("traffic.lam", 1.0),
-        t_tilde=values.get("traffic.t_tilde", 0.001),
-        m=values.get("traffic.m", 10),
-    )
-    gamma = values.get("cv2x.gamma", 100)
-    lo, hi = STANDARD_WINDOWS.get(gamma, (5, 15))
-    cv2x = Cv2xParams(
-        gamma=gamma,
-        r_low=values.get("cv2x.r_low", lo),
-        r_high=values.get("cv2x.r_high", hi),
-        p_rk=values.get("cv2x.p_rk", 0.4),
-        p_sch=values.get("cv2x.p_sch", 1.0),
-        csrs_per_subframe=values.get("cv2x.csrs_per_subframe", 25),
-    )
-    dot11p = Dot11pParams(
-        c_min=values.get("dot11p.c_min", 15),
-        aifsn=values.get("dot11p.aifsn", 6),
-        slot_us=values.get("dot11p.slot_us", 13.0),
-        sifs_us=values.get("dot11p.sifs_us", 32.0),
-        tx_slots=values.get("dot11p.tx_slots", 14),
-    )
-    sweep = None
-    if "sweep.parameter" in values:
-        missing = [k for k in ("sweep.from", "sweep.to", "sweep.step") if k not in values]
-        if missing:
-            raise ConfigParseError(f"sweep requires {missing}", field="sweep")
-        sweep = SweepSpec(values["sweep.parameter"].lower(), values["sweep.from"],
-                          values["sweep.to"], values["sweep.step"])
-    cfg = ScenarioConfig(
-        tech=values.get("tech", "both"),
-        n=values.get("n", 100),
-        traffic=traffic,
-        cv2x=cv2x,
-        dot11p=dot11p,
-        adaptive_cam=values.get("adaptive_cam", False),
-        sweep=sweep,
-    )
-    return cfg.validate()
+
+def _render(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Render a ScenarioConfig back to the flat key=value format."""
-    lines = [
-        f"tech={cfg.tech}",
-        f"n={cfg.n}",
-        f"adaptive_cam={'true' if cfg.adaptive_cam else 'false'}",
-        f"traffic.t_c={cfg.traffic.t_c}",
-        f"traffic.t_d={cfg.traffic.t_d}",
-        f"traffic.k={cfg.traffic.k}",
-        f"traffic.lambda={cfg.traffic.lam!r}",
-        f"traffic.t_tilde={cfg.traffic.t_tilde!r}",
-        f"traffic.m={cfg.traffic.m}",
-        f"cv2x.gamma={cfg.cv2x.gamma}",
-        f"cv2x.r_low={cfg.cv2x.r_low}",
-        f"cv2x.r_high={cfg.cv2x.r_high}",
-        f"cv2x.p_rk={cfg.cv2x.p_rk!r}",
-        f"cv2x.p_sch={cfg.cv2x.p_sch!r}",
-        f"cv2x.csrs_per_subframe={cfg.cv2x.csrs_per_subframe}",
-        f"dot11p.c_min={cfg.dot11p.c_min}",
-        f"dot11p.aifsn={cfg.dot11p.aifsn}",
-        f"dot11p.slot_us={cfg.dot11p.slot_us!r}",
-        f"dot11p.sifs_us={cfg.dot11p.sifs_us!r}",
-        f"dot11p.tx_slots={cfg.dot11p.tx_slots}",
-    ]
+    lines = []
+    for key, (section, attr, _) in _FIELDS.items():
+        owner = cfg if section is None else getattr(cfg, section)
+        lines.append(f"{key}={_render(getattr(owner, attr))}")
     if cfg.sweep is not None:
-        lines += [
-            f"sweep.parameter={cfg.sweep.parameter}",
-            f"sweep.from={cfg.sweep.start!r}",
-            f"sweep.to={cfg.sweep.stop!r}",
-            f"sweep.step={cfg.sweep.step!r}",
-        ]
+        lines += [f"{key}={_render(getattr(cfg.sweep, attr))}"
+                  for key, (attr, _) in _SWEEP_FIELDS.items()]
     return "\n".join(lines) + "\n"

@@ -65,6 +65,10 @@ class InvalidDuration(V2xMacError):
     """Simulation duration or replication count is out of range."""
 
 
+class SimulatorInvariant(V2xMacError):
+    """The discrete-event simulator reached a state its own rules exclude."""
+
+
 class ConfigParseError(V2xMacError):
     """A scenario configuration file failed to parse or validate."""
 

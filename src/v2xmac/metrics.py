@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import Cv2xParams, Dot11pParams, ScenarioConfig
+from .config import Cv2xParams, ScenarioConfig
 from .coupling import FixedPointReport, solve_coupled
 from .cv2x import Cv2xSolution
 from .dot11p import DelayTable, Dot11pSolution, state_delays
@@ -93,15 +93,14 @@ def avg_delay_cv2x(queue: QueueSolution, p_txo: float) -> float:
     return total / (1.0 - queue.p_qe)
 
 
-def avg_delay_dot11p(sol: Dot11pSolution, delays: DelayTable,
-                     params: Dot11pParams) -> float:
+def avg_delay_dot11p(delays: DelayTable) -> float:
     """Average generation-to-transmission-end delay in aSlotTime units, 802.11p.
 
     A packet enters the MAC at A_1, so its delay is the chain's expected
     first-passage time from A_1 to the end of its transmission, D_{A_1}.
     This is continuous in theta and equals Omega + tx_slots on an idle
-    channel. By Little's law it also equals (1 - pi_Idle) / pi_{A_1} of `sol`.
-    Only `delays`, solved at the steady state's theta, is read.
+    channel. By Little's law it also equals (1 - pi_Idle) / pi_{A_1} of the
+    MAC steady state at the theta `delays` was solved for.
     """
     return delays.aifs[1]
 
@@ -134,7 +133,7 @@ def evaluate_fixed_point(report: FixedPointReport, scenario: ScenarioConfig) -> 
     sol = report.dot11p
     p_col = collision_prob_dot11p(sol, scenario.n)
     delays = state_delays(scenario.dot11p, sol.theta)
-    d_slots = avg_delay_dot11p(sol, delays, scenario.dot11p)
+    d_slots = avg_delay_dot11p(delays)
     d_ms = d_slots * scenario.dot11p.slot_us / 1000.0
     cu = channel_utilization("dot11p", state.p_t, scenario.n, p_col)
     return MetricsReport(tech="dot11p", n=scenario.n, p_col=p_col, d_avg_ms=d_ms,

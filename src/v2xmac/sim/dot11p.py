@@ -17,6 +17,7 @@ from collections import deque
 import numpy as np
 
 from ..config import ScenarioConfig
+from ..errors import SimulatorInvariant
 from .report import ReplicationStats
 from .traffic import CAM, arrival_stream
 
@@ -128,7 +129,9 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
         if kind == EV_TXSTART:
             # the sensing rules make concurrent transmissions share a start
             # slot: nobody starts while an earlier burst is still on the air
-            assert slot >= busy_until or slot == burst_start
+            if slot < busy_until and slot != burst_start:
+                raise SimulatorInvariant(f"vehicle {vid} starts at slot {slot} inside "
+                                         f"the burst that began at slot {burst_start}")
             if burst_start != slot:
                 finish_burst()
                 burst_start = slot

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import settings
 
 from v2xmac.chains import CouplingInputs
-from v2xmac.config import Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams
+from v2xmac.config import (Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams,
+                            rc_window)
 
 settings.register_profile("repo", derandomize=True)
 settings.load_profile("repo")
@@ -25,8 +26,7 @@ def default_scenario():
 
 def scenario(t_c=100, t_d=100, k=5, lam=1.0, m=10, gamma=100, r_low=None,
              r_high=None, p_rk=0.4, p_sch=1.0, n=100, tech="both", aifsn=6):
-    from v2xmac.config import STANDARD_WINDOWS
-    lo, hi = STANDARD_WINDOWS.get(gamma, (5, 15))
+    lo, hi = rc_window(gamma)
     return ScenarioConfig(
         tech=tech, n=n,
         traffic=TrafficParams(t_c=t_c, t_d=t_d, k=k, lam=lam, m=m),

@@ -89,6 +89,21 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg]) == 2
         assert "traffic.t_d" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep, field", [
+        ("t_c\nsweep.from=10\nsweep.to=30\nsweep.step=10", "traffic.t_c"),
+        ("k\nsweep.from=0\nsweep.to=2\nsweep.step=1", "traffic.k"),
+        ("p_rk\nsweep.from=0.7\nsweep.to=0.9\nsweep.step=0.1", "cv2x.p_rk"),
+        ("gamma\nsweep.from=1\nsweep.to=3\nsweep.step=1", "cv2x.gamma"),
+        ("n\nsweep.from=10\nsweep.to=20\nsweep.step=2.5", "n"),
+        ("n\nsweep.from=300\nsweep.to=50\nsweep.step=50", "sweep.to"),
+    ], ids=["t_c", "k", "p_rk", "gamma", "n-step", "empty"])
+    def test_invalid_sweep_is_a_config_error(self, tmp_path, capsys, sweep, field):
+        cfg = write(tmp_path, f"tech=cv2x\nsweep.parameter={sweep}\n")
+        assert main(["solve", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: {field}: ")
+
 
 class TestSimulateCommand:
     def test_seeded_rerun_identical_bytes(self, tmp_path):

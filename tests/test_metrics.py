@@ -86,16 +86,13 @@ class TestDelays:
 
     def test_dot11p_idle_channel_delay(self):
         params = Dot11pParams()
-        sol = solve_dot11p(params, 0.6, 0.2, 0.0)
-        d = avg_delay_dot11p(sol, state_delays(params, 0.0), params)
+        d = avg_delay_dot11p(state_delays(params, 0.0))
         # A-line plus transmission, in slots
         assert d == pytest.approx(params.tx_slots + params.omega)
 
     def test_dot11p_delay_continuous_at_idle_channel(self):
         params = Dot11pParams()
-        d0, d1 = (avg_delay_dot11p(solve_dot11p(params, 0.6, 0.2, theta),
-                                   state_delays(params, theta), params)
-                  for theta in (0.0, 1e-9))
+        d0, d1 = (avg_delay_dot11p(state_delays(params, theta)) for theta in (0.0, 1e-9))
         assert abs(d1 - d0) <= 1e-6
 
     @pytest.mark.parametrize("theta", [0.0, 0.2, 0.7])
@@ -103,15 +100,14 @@ class TestDelays:
         # busy-MAC mass per service start = slots from A_1 to the end of Tx
         params = Dot11pParams()
         sol = solve_dot11p(params, 0.6, 0.2, theta)
-        d = avg_delay_dot11p(sol, state_delays(params, theta), params)
+        d = avg_delay_dot11p(state_delays(params, theta))
         assert d == pytest.approx((1.0 - sol.pi_idle) / sol.pi_a[0], rel=1e-12)
 
     def test_dot11p_delay_grows_with_theta(self):
         params = Dot11pParams()
         vals = []
         for theta in (0.1, 0.3, 0.5, 0.7):
-            sol = solve_dot11p(params, 0.6, 0.2, theta)
-            vals.append(avg_delay_dot11p(sol, state_delays(params, theta), params))
+            vals.append(avg_delay_dot11p(state_delays(params, theta)))
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 

@@ -1,7 +1,11 @@
 """Discrete-event simulator behavior: determinism, conservation, contracts."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import v2xmac
 from conftest import scenario
 from v2xmac.config import ScenarioConfig, TrafficParams
 from v2xmac.errors import InvalidDuration
@@ -188,3 +192,11 @@ class TestCv2xContracts:
         r4 = run_sim("cv2x", s, seed=31, duration_s=10, replications=16)
         ratio = r1.ci95["d_avg_ms"] / r4.ci95["d_avg_ms"]
         assert 2.0 * 0.7 <= ratio <= 2.0 * 1.3
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so an invariant must raise a typed V2xMacError
+    root = Path(v2xmac.__file__).parent
+    found = [f"{path.relative_to(root)}:{node.lineno}" for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
