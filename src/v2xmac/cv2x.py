@@ -2,13 +2,46 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .config import Cv2xParams
 from .errors import InvalidMass, SaturatedQueue
+from .lazy import Lazy, closed_form, form_field
 
 _MASS_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class _Cv2xForm:
+    """Closed-form inputs of the Mode 4 state arrays."""
+
+    params: Cv2xParams
+    p_qne: float
+    a: float
+    b: float
+    w0: float   # pi_{w,0}
+
+
+def _pi_w(form: _Cv2xForm) -> np.ndarray:
+    g, p_rk, p_sch = form.params.gamma, form.params.p_rk, form.params.p_sch
+    shape = (g - 1.0 - np.arange(g - 1)) / (g - 1.0)
+    return form.w0 * (form.a * form.b * shape + shape * (1.0 - p_rk) * p_sch + p_rk)
+
+
+def _pi_rc(form: _Cv2xForm) -> np.ndarray:
+    g, rl, rh = form.params.gamma, form.params.r_low, form.params.r_high
+    w_cnt, w0, p_qne = 1 + rh - rl, form.w0, form.p_qne
+    pi_rc = np.zeros((rh + 1, g))
+    for i in range(1, rh + 1):
+        if i >= rl:
+            n_i = rh - i + 1
+            pi_rc[i, 0] = w0 * n_i / (p_qne * w_cnt)
+            pi_rc[i, 1:] = w0 * n_i / (p_qne ** 2 * w_cnt)
+        else:
+            pi_rc[i, :] = w0 / p_qne
+    return pi_rc
 
 
 @dataclass(frozen=True)
@@ -17,14 +50,16 @@ class Cv2xSolution:
 
     pi_w[j] covers the waiting states (w, j), j in [0, Gamma-2]; pi_rc[i, j]
     covers the RC grid for i in [1, R_h] (row 0 of the array is unused
-    padding so indices match RC values), j in [0, Gamma-1].
+    padding so indices match RC values), j in [0, Gamma-1]. The arrays are
+    built when first read; p_txo and p_t come from the family sums.
     """
 
     pi_idle: float
-    pi_w: np.ndarray
-    pi_rc: np.ndarray
     p_txo: float
     p_t: float
+    pi_w: np.ndarray = Lazy(_pi_w)
+    pi_rc: np.ndarray = Lazy(_pi_rc)
+    _form: Optional[_Cv2xForm] = form_field()
 
     @property
     def pi_w0(self) -> float:
@@ -61,32 +96,55 @@ def solve_cv2x(params: Cv2xParams, p_qe: float, p_qne: float, p_arr: float) -> C
     mass_hiw = (w_cnt + 1) * (g - 1) / (2.0 * p_qne ** 2)
     w0 = 1.0 / (mass_idle + mass_w + mass_low + mass_hi0 + mass_hiw)
 
-    j = np.arange(g - 1)
-    shape = (g - 1.0 - j) / (g - 1.0)
-    pi_w = w0 * (a * b * shape + shape * (1.0 - p_rk) * p_sch + p_rk)
-
-    pi_rc = np.zeros((rh + 1, g))
-    for i in range(1, rh + 1):
-        if i >= rl:
-            n_i = rh - i + 1
-            pi_rc[i, 0] = w0 * n_i / (p_qne * w_cnt)
-            pi_rc[i, 1:] = w0 * n_i / (p_qne ** 2 * w_cnt)
-        else:
-            pi_rc[i, :] = w0 / p_qne
-
-    p_txo = float(pi_rc[1:, 0].sum())
-    sol = Cv2xSolution(pi_idle=b * w0, pi_w=pi_w, pi_rc=pi_rc,
-                       p_txo=p_txo, p_t=p_txo * p_qne)
-    _check_mass(sol)
-    return sol
+    # column j = 0 of the RC grid: pi_{i,0} = w0 / p_qne for the rows below
+    # R_l, w0 n_i / (p_qne w_cnt) with n_i = R_h - i + 1 from R_l on
+    low_rows, hi_rows = _rc_rows(rl, rh)
+    n_sum = hi_rows * (hi_rows + 1) // 2
+    p_txo = w0 / p_qne * (low_rows + (n_sum / w_cnt if hi_rows else 0.0))
+    form = _Cv2xForm(params=params, p_qne=p_qne, a=a, b=b, w0=w0)
+    _check_mass(form, low_rows, hi_rows)
+    return closed_form(Cv2xSolution, form, pi_idle=b * w0, p_txo=p_txo,
+                       p_t=p_txo * p_qne)
 
 
-def _check_mass(sol: Cv2xSolution):
-    mass = sol.total_mass
+def _rc_rows(rl: int, rh: int):
+    """(rows i in [1, R_h] below R_l, rows from R_l on) of the RC grid."""
+    hi_rows = max(rh - max(rl, 1) + 1, 0)
+    return rh - hi_rows, hi_rows
+
+
+def _check_mass(form: _Cv2xForm, low_rows: int, hi_rows: int):
+    """Sum-to-one and sign checks on the arrays `form` builds, from their sums.
+
+    pi_w is linear in shape = (Gamma - 1 - j) / (Gamma - 1), which runs from
+    1 down to 1 / (Gamma - 1) and sums to Gamma / 2, so its extremes are its
+    end values. Every RC entry is w0 times a positive coefficient, so the
+    most negative one, if any, has the largest coefficient.
+    """
+    params, w0, p_qne = form.params, form.w0, form.p_qne
+    g, p_rk, p_sch = params.gamma, params.p_rk, params.p_sch
+    w_cnt = 1 + params.r_high - params.r_low
+    c = form.a * form.b
+    if g >= 2:
+        w_ends = [w0 * (c * s + s * (1.0 - p_rk) * p_sch + p_rk)
+                  for s in (1.0, 1.0 / (g - 1.0))]
+        sum_w = w0 * (c * g / 2.0 + g / 2.0 * (1.0 - p_rk) * p_sch + (g - 1.0) * p_rk)
+    else:
+        w_ends, sum_w = [], 0.0
+    rc_coefs = [1.0 / p_qne] if low_rows else []
+    sum_rc = w0 * g * low_rows / p_qne
+    if hi_rows:
+        n_sum = hi_rows * (hi_rows + 1) // 2
+        sum_rc += w0 * n_sum / (p_qne * w_cnt) * (1.0 + (g - 1) / p_qne)
+        rc_coefs.append(hi_rows / (p_qne * w_cnt))
+        if g >= 2:
+            rc_coefs.append(hi_rows / (p_qne ** 2 * w_cnt))
+    mass = form.b * w0 + sum_w + sum_rc
     if abs(mass - 1.0) > _MASS_TOL:
         raise InvalidMass(f"steady-state mass {mass!r} deviates from 1 by more "
                           f"than {_MASS_TOL:g}; parameters are outside the "
                           "closed form's validity region")
-    if sol.pi_idle < -1e-15 or sol.pi_w.min() < -1e-15 or sol.pi_rc.min() < -1e-15:
+    rc_min = min([w0 * k for k in rc_coefs] + [0.0])
+    if form.b * w0 < -1e-15 or min(w_ends, default=0.0) < -1e-15 or rc_min < -1e-15:
         raise InvalidMass("negative steady-state probability; parameters are "
                           "outside the closed form's validity region")

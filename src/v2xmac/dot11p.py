@@ -1,13 +1,15 @@
 """Closed-form steady state, busy-ratio update and per-state delays for 802.11p."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .config import Dot11pParams
 from .errors import ChannelSaturated
+from .lazy import Lazy, closed_form, form_field
 
 
 def dot11p_stages(c_min: int):
@@ -16,23 +18,80 @@ def dot11p_stages(c_min: int):
 
 
 @dataclass(frozen=True)
+class _Dot11pForm:
+    """Closed-form inputs of the 802.11p state arrays."""
+
+    params: Dot11pParams
+    h: float         # idle exit probability
+    theta: float
+    f: float         # pi_{B, tx_slots} relative to pi_Idle
+    pi_idle: float
+
+
+def _pi_a(form: _Dot11pForm) -> np.ndarray:
+    return form.h * (1.0 - form.theta) ** np.arange(form.params.omega) * form.pi_idle
+
+
+def _pi_b(form: _Dot11pForm) -> np.ndarray:
+    th, om, theta = form.params.tx_slots, form.params.omega, form.theta
+    i_b = np.arange(1, th + 1)
+    return form.h * (theta / th * i_b - (1.0 - theta) ** om - theta + 1.0) * form.pi_idle
+
+
+def _stage_family(weight):
+    """A stage-keyed family f weight(s, C_min, theta) / (C_min (1 - theta)) pi_Idle."""
+    def build(form: _Dot11pForm) -> Dict[int, float]:
+        cmin, theta = form.params.c_min, form.theta
+        scale = form.f / (cmin * (1.0 - theta)) * form.pi_idle
+        return {s: weight(s, cmin, theta) * scale for s in dot11p_stages(cmin)}
+    return build
+
+
+def _sense_weight(s, cmin, theta):
+    return cmin - s
+
+
+def _delta_weight(s, cmin, theta):
+    return (cmin - s) * theta
+
+
+def _backoff_aifs_weight(s, cmin, theta):
+    if s == 0:
+        return 2.0 - 2.0 * theta + cmin * theta
+    return 1.0 + (cmin - s - 1) * theta
+
+
+def _pi_tx(form: _Dot11pForm) -> np.ndarray:
+    return np.full(form.params.tx_slots, form.h * form.pi_idle)
+
+
+@dataclass(frozen=True)
 class Dot11pSolution:
     """Steady state of the 802.11p chain at aSlotTime resolution.
 
     Stage-indexed families are dicts keyed by the existing backoff stages
     ({0} union [2, C_min - 1]); per-stage line values are constant along the
-    line, so a single number is stored per stage.
+    line, so a single number is stored per stage. The families are built
+    when first read; pi_Idle and P_t come from their sums.
     """
 
     pi_idle: float
-    pi_a: np.ndarray              # A_1..A_Omega
-    pi_b: np.ndarray              # (B, 1..tx_slots)
-    pi_sense: Dict[int, float]    # (I, s)
-    pi_delta: Dict[int, float]    # (Delta_s, j), constant in j
-    pi_backoff_aifs: Dict[int, float]  # (s, A_j), constant in j
-    pi_tx: np.ndarray             # (Tx, 1..tx_slots)
     theta: float
     p_t: float
+    pi_a: np.ndarray = Lazy(_pi_a)              # A_1..A_Omega
+    pi_b: np.ndarray = Lazy(_pi_b)              # (B, 1..tx_slots)
+    pi_sense: Dict[int, float] = Lazy(_stage_family(_sense_weight))    # (I, s)
+    pi_delta: Dict[int, float] = Lazy(_stage_family(_delta_weight))    # (Delta_s, j), constant in j
+    pi_backoff_aifs: Dict[int, float] = Lazy(_stage_family(_backoff_aifs_weight))  # (s, A_j)
+    pi_tx: np.ndarray = Lazy(_pi_tx)            # (Tx, 1..tx_slots)
+    _form: Optional[_Dot11pForm] = form_field()
+
+
+def _line_sum(theta: float, n: int) -> float:
+    """1 + (1 - theta) + ... + (1 - theta)^(n - 1), accurate also at tiny theta."""
+    if theta == 0.0:
+        return float(n)
+    return -math.expm1(n * math.log1p(-theta)) / theta
 
 
 def solve_dot11p(params: Dot11pParams, p_qe: float, p_arr: float,
@@ -45,44 +104,32 @@ def solve_dot11p(params: Dot11pParams, p_qe: float, p_arr: float,
     All state families follow the per-state closed forms and scale with h;
     pi_Idle is fixed by the sum-to-one condition over the families actually
     present (stage 1 does not exist: backoff counter values 0 and 1 both map
-    to stage 0).
+    to stage 0). The families' sums are taken in closed form, so this costs
+    O(1); the families themselves are built when first read.
     """
     if not 0.0 <= theta < 1.0:
         raise ChannelSaturated(f"theta = {theta!r}; the closed form needs theta < 1")
     cmin, om, th = params.c_min, params.omega, params.tx_slots
-    stages = dot11p_stages(cmin)
     h = 1.0 - p_qe * (1.0 - p_arr)
     one_m = 1.0 - theta
+    idle_line = one_m ** om
+    f = h * (theta - idle_line - theta + 1.0)  # the (B, tx_slots) entry of pi_b
 
-    a = h * one_m ** np.arange(om)
-    i_b = np.arange(1, th + 1)
-    b = h * (theta / th * i_b - one_m ** om - theta + 1.0)
-    f = float(b[-1])  # pi_{B, tx_slots} relative to pi_idle
-    sense = {s: f * (cmin - s) / (cmin * one_m) for s in stages}
-    delta = {s: f * (cmin - s) * theta / (cmin * one_m) for s in stages}
-    backoff_aifs = {}
-    for s in stages:
-        if s == 0:
-            backoff_aifs[0] = f * (2.0 - 2.0 * theta + cmin * theta) / (cmin * one_m)
-        else:
-            backoff_aifs[s] = f * (1.0 + (cmin - s - 1) * theta) / (cmin * one_m)
-    tx = np.full(th, h)
+    # the stage weights summed over the stages {0} union [2, C_min - 1]
+    upper = max(cmin - 2, 0)   # stages from 2 on
+    sense_w = cmin + upper * (upper + 1) / 2.0
+    backoff_w = (_backoff_aifs_weight(0, cmin, theta) + upper
+                 + theta * upper * (upper - 1) / 2.0)
+    stage_scale = f / (cmin * one_m)
 
-    total = (1.0 + a.sum() + b.sum() + sum(sense.values())
-             + th * sum(delta.values()) + (om - 1) * sum(backoff_aifs.values())
-             + tx.sum())
+    total = (1.0 + h * _line_sum(theta, om)
+             + h * (theta * (th + 1) / 2.0 + th * (1.0 - idle_line - theta))
+             + stage_scale * (sense_w * (1.0 + th * theta) + (om - 1) * backoff_w)
+             + th * h)
     pi_idle = 1.0 / total
-    return Dot11pSolution(
-        pi_idle=pi_idle,
-        pi_a=a * pi_idle,
-        pi_b=b * pi_idle,
-        pi_sense={s: v * pi_idle for s, v in sense.items()},
-        pi_delta={s: v * pi_idle for s, v in delta.items()},
-        pi_backoff_aifs={s: v * pi_idle for s, v in backoff_aifs.items()},
-        pi_tx=tx * pi_idle,
-        theta=theta,
-        p_t=float(tx.sum() * pi_idle),
-    )
+    form = _Dot11pForm(params=params, h=h, theta=theta, f=f, pi_idle=pi_idle)
+    return closed_form(Dot11pSolution, form, pi_idle=pi_idle, theta=theta,
+                       p_t=th * h * pi_idle)
 
 
 def update_theta(p_t: float, n: int) -> float:

@@ -38,11 +38,14 @@ class ChannelSaturated(V2xMacError):
 
 
 class NoFixedPoint(V2xMacError):
-    """The coupled iteration did not reach tolerance within the iteration budget."""
+    """The coupled root search found no sign change or ran out of evaluations.
 
-    def __init__(self, message, residual_trace=None):
+    `trace` holds every evaluated (P_t, P_t - G(P_t)) pair, in order.
+    """
+
+    def __init__(self, message, trace=()):
         super().__init__(message)
-        self.residual_trace = residual_trace or []
+        self.trace = tuple(trace)
 
 
 class ResourceExhaustion(V2xMacError):

@@ -3,13 +3,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .config import TrafficParams
 from .errors import DegenerateQueue, DegenerateTransmitProbability, ModelValidityError
+from .lazy import Lazy, closed_form, form_field
 
 SUBFRAME_US = 1000.0  # the generators and the queue step once per 1 ms subframe
+
+
+@dataclass(frozen=True)
+class _GeneratorForm:
+    """Closed-form inputs of one generator, and the scalars the fixed point reads."""
+
+    t_l: int
+    p_t: float
+    repeat_weight: float   # 1 for CAM, 1 - 1/K for DENM
+    tx0: float             # pi_tx[0], the normalization
+    txp0: float            # pi_txp[0]
+    txp_tail: float        # sum of pi_txp[1:]
+
+
+def _generator_pi_tx(form: _GeneratorForm) -> np.ndarray:
+    return _generator_arrays(form.t_l, form.p_t, form.repeat_weight)[0] * form.tx0
+
+
+def _generator_pi_txp(form: _GeneratorForm) -> np.ndarray:
+    return _generator_arrays(form.t_l, form.p_t, form.repeat_weight)[1] * form.tx0
 
 
 @dataclass(frozen=True)
@@ -18,11 +40,29 @@ class GeneratorSolution:
 
     pi_tx[j] is the probability of (tx, j), pi_txp[j] of (txp, j) for
     j in [0, T_l - 1]; pi_idle_denm is the DENM idle-state mass (0 for CAM).
+    The scalars below come from the closed form in O(1); a solution given
+    its arrays explicitly reads them from the arrays.
     """
 
-    pi_tx: np.ndarray
-    pi_txp: np.ndarray
+    pi_tx: np.ndarray = Lazy(_generator_pi_tx)
+    pi_txp: np.ndarray = Lazy(_generator_pi_txp)
     pi_idle_denm: float = 0.0
+    _form: Optional[_GeneratorForm] = form_field()
+
+    @property
+    def tx_first(self) -> float:
+        """pi_tx[0]."""
+        return self._form.tx0 if self._form else float(self.pi_tx[0])
+
+    @property
+    def txp_first(self) -> float:
+        """pi_txp[0]."""
+        return self._form.txp0 if self._form else float(self.pi_txp[0])
+
+    @property
+    def txp_tail(self) -> float:
+        """The blocked row's mass beyond j = 0: sum of pi_txp[1:]."""
+        return self._form.txp_tail if self._form else float(self.pi_txp[1:].sum())
 
     @property
     def total_mass(self) -> float:
@@ -35,17 +75,30 @@ class GeneratorSolution:
         Each visit to (tx, 0) or (txp, 0) is one generation instant, which
         makes the CAM rate exactly 1/T_C and the DENM rate K per train.
         """
-        return float(self.pi_tx[0] + self.pi_txp[0])
+        return self.tx_first + self.txp_first
+
+
+def _queue_pi(form) -> np.ndarray:
+    """The queue state vector from form = (alpha, alpha1, beta, M)."""
+    alpha, alpha1, beta, m_cap = form
+    pi = np.empty(m_cap + 1)
+    pi[0] = 1.0
+    term = alpha1 / beta
+    for i in range(1, m_cap + 1):
+        pi[i] = term
+        term *= alpha / beta
+    return pi / pi.sum()
 
 
 @dataclass(frozen=True)
 class QueueSolution:
-    pi: np.ndarray
     p_qe: float
     alpha: float
     alpha1: float
     beta: float
     p_arr: float
+    pi: np.ndarray = Lazy(_queue_pi)
+    _form: Optional[tuple] = form_field()
 
     @property
     def p_qne(self) -> float:
@@ -69,10 +122,25 @@ def _generator_arrays(t_l: int, p_t: float, repeat_weight: float):
     return tx, txp
 
 
+def _generator_form(t_l: int, p_t: float, repeat_weight: float,
+                    tx0: float) -> _GeneratorForm:
+    """The O(1) scalars of the arrays _generator_arrays would build.
+
+    pi_txp[j] = w q^(T_l - j) / z for z = 1 - q^(T_l - 1), so its tail
+    j >= 1 is the geometric sum w q / (1 - q).
+    """
+    q = 1.0 - p_t
+    z = 1.0 - q ** (t_l - 1)
+    return _GeneratorForm(t_l=t_l, p_t=p_t, repeat_weight=repeat_weight, tx0=tx0,
+                          txp0=repeat_weight * q ** t_l / z * tx0,
+                          txp_tail=repeat_weight * q / (1.0 - q) * tx0)
+
+
 def _check_generator(period: int, p_t: float, name: str):
-    if not 0.0 < p_t <= 1.0:
+    if not (0.0 < p_t <= 1.0 and 1.0 - p_t < 1.0):
         raise DegenerateTransmitProbability(
-            f"P_t = {p_t!r}; the blocked states have no exit at P_t = 0")
+            f"P_t = {p_t!r}; the blocked states have no exit at P_t = 0, "
+            "and 1 - P_t must differ from 1 in double precision")
     if period < 2:
         # z = 1 - (1 - P_t)^(period - 1) vanishes, and every family divides by it
         raise ModelValidityError(f"{name} = {period!r}; the generator closed form "
@@ -86,8 +154,7 @@ def solve_cam(params: TrafficParams, p_t: float) -> GeneratorSolution:
     q = 1.0 - p_t
     z = 1.0 - q ** (t_c - 1)
     tx0 = z / (t_c * (1.0 - p_t * q ** (t_c - 1)))
-    tx, txp = _generator_arrays(t_c, p_t, 1.0)
-    return GeneratorSolution(pi_tx=tx * tx0, pi_txp=txp * tx0)
+    return closed_form(GeneratorSolution, _generator_form(t_c, p_t, 1.0, tx0))
 
 
 def solve_denm(params: TrafficParams, p_t: float) -> GeneratorSolution:
@@ -100,9 +167,8 @@ def solve_denm(params: TrafficParams, p_t: float) -> GeneratorSolution:
     f = 1.0 - 1.0 / k
     tx0 = 1.0 / (f * t_d * (1.0 - p_t * q ** (t_d - 1)) / z
                  + 1.0 / k + 1.0 / (k * sigma))
-    tx, txp = _generator_arrays(t_d, p_t, f)
-    return GeneratorSolution(pi_tx=tx * tx0, pi_txp=txp * tx0,
-                             pi_idle_denm=tx0 / (k * sigma))
+    return closed_form(GeneratorSolution, _generator_form(t_d, p_t, f, tx0),
+                       pi_idle_denm=tx0 / (k * sigma))
 
 
 def per_slot_rate(per_subframe: float, slot_us: float) -> float:
@@ -130,27 +196,33 @@ def combine_transition_probs(cam: GeneratorSolution, denm: GeneratorSolution,
     x = x_cam + x_denm - x_cam * x_denm. Returns (alpha, alpha1, beta, p_arr).
     """
     f = 1.0 - 1.0 / params.k
-    a_c = float(cam.pi_txp[0])
-    a1_c = float(cam.pi_tx[0]) * (1.0 - p_t)
-    b_c = float(cam.pi_txp[1:].sum()) * p_t
-    a_d = float(denm.pi_txp[0])
-    a1_d = float(denm.pi_tx[0]) * f * (1.0 - p_t)
-    b_d = float(denm.pi_txp[1:].sum()) * p_t
-    alpha = _union(a_c, a_d)
-    alpha1 = _union(a1_c, a1_d)
-    beta = _union(b_c, b_d)
-    p_arr = _union(float(cam.pi_tx[0]), params.sigma)
+    alpha = _union(cam.txp_first, denm.txp_first)
+    alpha1 = _union(cam.tx_first * (1.0 - p_t), denm.tx_first * f * (1.0 - p_t))
+    beta = _union(cam.txp_tail * p_t, denm.txp_tail * p_t)
+    p_arr = _union(cam.tx_first, params.sigma)
     return alpha, alpha1, beta, p_arr
+
+
+def _geometric_sum(r: float, m: int) -> float:
+    """1 + r + ... + r^(m - 1), accurate also for r near 1."""
+    if r == 1.0:
+        return float(m)
+    if r == 0.0:
+        return 1.0
+    log_r = math.log(r)
+    try:
+        return math.expm1(m * log_r) / math.expm1(log_r)
+    except OverflowError:
+        return math.inf
 
 
 def solve_queue(alpha: float, alpha1: float, beta: float, m_cap: int,
                 p_arr: float = 0.0) -> QueueSolution:
     """Device-queue steady state on 0..M.
 
-    pi_0 follows the closed form written as the geometric sum
-    1 / (1 + alpha1 sum_i alpha^(i-1) / beta^i), which is exact for
-    alpha != beta and equals the analytic limit 1 / (1 + alpha1 M / beta)
-    at alpha = beta.
+    pi_i = pi_0 (alpha1 / beta) (alpha / beta)^(i-1) for i >= 1, so
+    pi_0 = 1 / (1 + (alpha1 / beta) sum_{i<M} (alpha / beta)^i); the sum is
+    M at alpha = beta. Only P_qe = pi_0 is computed here; pi is built when read.
     """
     if m_cap < 1:
         raise DegenerateQueue("queue capacity must be >= 1")
@@ -161,12 +233,6 @@ def solve_queue(alpha: float, alpha1: float, beta: float, m_cap: int,
         pi[0] = 1.0
         return QueueSolution(pi=pi, p_qe=1.0, alpha=alpha, alpha1=alpha1,
                              beta=beta, p_arr=p_arr)
-    pi = np.empty(m_cap + 1)
-    pi[0] = 1.0
-    term = alpha1 / beta
-    for i in range(1, m_cap + 1):
-        pi[i] = term
-        term *= alpha / beta
-    pi /= pi.sum()
-    return QueueSolution(pi=pi, p_qe=float(pi[0]), alpha=alpha, alpha1=alpha1,
-                         beta=beta, p_arr=p_arr)
+    p_qe = 1.0 / (1.0 + alpha1 / beta * _geometric_sum(alpha / beta, m_cap))
+    return closed_form(QueueSolution, (alpha, alpha1, beta, m_cap), p_qe=p_qe,
+                       alpha=alpha, alpha1=alpha1, beta=beta, p_arr=p_arr)

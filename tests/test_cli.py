@@ -89,6 +89,15 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg]) == 2
         assert "traffic.t_d" in capsys.readouterr().err
 
+    def test_saturated_dot11p_solves(self, tmp_path, capsys):
+        # theta nears 1 at N = 2000, where the 802.11p MAC saturates
+        cfg = write(tmp_path, "tech=dot11p\nn=2000\n")
+        assert main(["solve", "--config", cfg]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()[1:]
+        values = dict(zip(header.split(","), row.split(",")))
+        assert float(values["theta"]) == pytest.approx(0.978177, abs=1e-6)
+        assert values["converged"] == "true"
+
     @pytest.mark.parametrize("sweep, field", [
         ("t_c\nsweep.from=10\nsweep.to=30\nsweep.step=10", "traffic.t_c"),
         ("k\nsweep.from=0\nsweep.to=2\nsweep.step=1", "traffic.k"),

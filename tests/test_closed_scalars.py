@@ -1,0 +1,171 @@
+"""The O(1) scalars the fixed point reads against the state arrays built on demand.
+
+Each solver returns its scalars from family sums in closed form and builds
+its state arrays only when they are read. These properties check that the
+two agree, and that the validity errors fire on the same inputs as the
+array-based checks they replace.
+"""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from v2xmac.config import Cv2xParams, Dot11pParams, TrafficParams
+from v2xmac.cv2x import solve_cv2x
+from v2xmac.dot11p import solve_dot11p
+from v2xmac.errors import (ChannelSaturated, DegenerateTransmitProbability,
+                           InvalidMass, SaturatedQueue)
+from v2xmac.traffic import solve_cam, solve_denm, solve_queue
+
+REL = 1e-12
+probability = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _close(scalar, from_arrays):
+    return scalar == pytest.approx(from_arrays, rel=REL, abs=0.0)
+
+
+# ------------------------------------------------------------- generators
+@given(t_l=st.integers(2, 1000), p_t=st.floats(1e-3, 1.0), k=st.integers(1, 9),
+       lam=st.floats(0.01, 100.0), denm=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_generator_scalars_match_arrays(t_l, p_t, k, lam, denm):
+    if denm:
+        sol = solve_denm(TrafficParams(t_d=t_l, k=k, lam=lam), p_t)
+    else:
+        sol = solve_cam(TrafficParams(t_c=t_l), p_t)
+    assert _close(sol.tx_first, float(sol.pi_tx[0]))
+    assert _close(sol.txp_first, float(sol.pi_txp[0]))
+    assert _close(sol.txp_tail, float(sol.pi_txp[1:].sum()))
+    assert _close(sol.generation_rate, float(sol.pi_tx[0] + sol.pi_txp[0]))
+    assert abs(sol.total_mass - 1.0) < 1e-10
+
+
+@given(p_t=st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, 1e-17, 1e-300]))
+@settings(max_examples=100, deadline=None)
+def test_generators_reject_degenerate_p_t(p_t):
+    degenerate = not 0.0 < p_t <= 1.0 or 1.0 - p_t == 1.0
+    for solve in (solve_cam, solve_denm):
+        if degenerate:
+            with pytest.raises(DegenerateTransmitProbability):
+                solve(TrafficParams(), p_t)
+        else:
+            solve(TrafficParams(), p_t)
+
+
+def test_explicit_arrays_win_over_the_closed_form():
+    sol = solve_cam(TrafficParams(), 0.3)
+    tx = sol.pi_tx.copy()
+    tx[0] += 0.01
+    changed = dataclasses.replace(sol, pi_tx=tx)
+    assert changed.tx_first == tx[0]
+    assert changed.generation_rate == pytest.approx(sol.generation_rate + 0.01)
+    assert np.array_equal(changed.pi_txp, sol.pi_txp)
+
+
+# ------------------------------------------------------------------- queue
+@given(alpha=probability, alpha1=probability, beta=st.floats(1e-6, 1.0),
+       m_cap=st.integers(1, 50))
+@settings(max_examples=200, deadline=None)
+def test_queue_p_qe_matches_array(alpha, alpha1, beta, m_cap):
+    q = solve_queue(alpha, alpha1, beta, m_cap)
+    assume(math.isfinite(q.pi.sum()))
+    assert _close(q.p_qe, float(q.pi[0]))
+
+
+def test_queue_p_qe_near_alpha_equal_beta():
+    # the geometric sum must stay accurate as alpha / beta -> 1
+    for alpha in (0.3, 0.3 * (1 + 1e-12), 0.3 * (1 - 1e-9)):
+        q = solve_queue(alpha, 0.2, 0.3, 10)
+        assert _close(q.p_qe, float(q.pi[0]))
+
+
+# ------------------------------------------------------------------ 802.11p
+@given(theta=st.floats(0.0, 0.99) | st.sampled_from([6.5e-181, 5e-324, 1e-17]),
+       p_qe=probability, p_arr=probability, c_min=st.integers(3, 63),
+       aifsn=st.integers(2, 15), tx_slots=st.integers(1, 30))
+@settings(max_examples=200, deadline=None)
+def test_dot11p_scalars_match_arrays(theta, p_qe, p_arr, c_min, aifsn, tx_slots):
+    params = Dot11pParams(c_min=c_min, aifsn=aifsn, tx_slots=tx_slots)
+    sol = solve_dot11p(params, p_qe, p_arr, theta)
+    om, th = params.omega, params.tx_slots
+    others = (sol.pi_a.sum() + sol.pi_b.sum() + sol.pi_tx.sum()
+              + sum(sol.pi_sense.values()) + th * sum(sol.pi_delta.values())
+              + (om - 1) * sum(sol.pi_backoff_aifs.values()))
+    # every family is pi_Idle times its relative mass, so normalizing the
+    # arrays gives pi_Idle / mass; 1 - others would cancel at small pi_Idle
+    mass = sol.pi_idle + float(others)
+    assert _close(sol.pi_idle, sol.pi_idle / mass)
+    assert _close(sol.p_t, float(sol.pi_tx.sum()))
+
+
+@given(theta=st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, 1.0 - 1e-16]))
+@settings(max_examples=60, deadline=None)
+def test_dot11p_rejects_saturated_channel(theta):
+    if 0.0 <= theta < 1.0:
+        solve_dot11p(Dot11pParams(), 0.5, 0.1, theta)
+    else:
+        with pytest.raises(ChannelSaturated):
+            solve_dot11p(Dot11pParams(), 0.5, 0.1, theta)
+
+
+# ------------------------------------------------------------------- C-V2X
+def _array_check(params, p_qne, p_arr):
+    """The exception the array-based Mode 4 assembly raised, or None."""
+    if p_qne <= 0.0:
+        return SaturatedQueue
+    g, rl, rh = params.gamma, params.r_low, params.r_high
+    w_cnt = 1 + rh - rl
+    p_sch, p_rk = params.p_sch, params.p_rk
+    a = (p_arr + p_qne - p_arr * p_qne) * p_sch
+    b = (1.0 - p_rk) * (1.0 / p_sch - 1.0) / (p_arr + p_qne * (1.0 - p_arr))
+    w0 = 1.0 / (b + a * b * g / 2.0 + (g / 2.0) * (1.0 - p_rk) * p_sch
+                + (g - 1.0) * p_rk + (rl - 1) * g / p_qne
+                + (w_cnt + 1) / (2.0 * p_qne) + (w_cnt + 1) * (g - 1) / (2.0 * p_qne ** 2))
+    shape = (g - 1.0 - np.arange(g - 1)) / (g - 1.0)
+    pi_w = w0 * (a * b * shape + shape * (1.0 - p_rk) * p_sch + p_rk)
+    pi_rc = np.zeros((rh + 1, g))
+    for i in range(1, rh + 1):
+        if i >= rl:
+            pi_rc[i, 0] = w0 * (rh - i + 1) / (p_qne * w_cnt)
+            pi_rc[i, 1:] = w0 * (rh - i + 1) / (p_qne ** 2 * w_cnt)
+        else:
+            pi_rc[i, :] = w0 / p_qne
+    mass = b * w0 + pi_w.sum() + pi_rc[1:].sum()
+    if abs(mass - 1.0) > 1e-8 or min(b * w0, pi_w.min(), pi_rc.min()) < -1e-15:
+        return InvalidMass
+    return None
+
+
+@given(gamma=st.integers(2, 100), r_low=st.integers(1, 30), width=st.integers(0, 30),
+       p_rk=probability, p_sch=st.floats(0.05, 1.0), p_qne=st.floats(0.01, 1.0),
+       p_arr=probability)
+@settings(max_examples=200, deadline=None)
+def test_cv2x_p_txo_matches_array(gamma, r_low, width, p_rk, p_sch, p_qne, p_arr):
+    params = Cv2xParams(gamma=gamma, r_low=r_low, r_high=r_low + width,
+                        p_rk=p_rk, p_sch=p_sch)
+    sol = solve_cv2x(params, 1.0 - p_qne, p_qne, p_arr)
+    assert _close(sol.p_txo, float(sol.pi_rc[1:, 0].sum()))
+    assert sol.p_t == sol.p_txo * p_qne
+    assert abs(sol.total_mass - 1.0) < 1e-10
+
+
+@given(gamma=st.integers(2, 100), r_low=st.integers(-2, 30), r_high=st.integers(1, 30),
+       p_rk=st.floats(-0.5, 1.5), p_sch=st.floats(0.05, 1.0),
+       p_qne=st.floats(-0.5, 2.0), p_arr=st.floats(-0.5, 1.5))
+@settings(max_examples=300, deadline=None)
+def test_cv2x_rejects_the_same_inputs(gamma, r_low, r_high, p_rk, p_sch, p_qne, p_arr):
+    params = Cv2xParams(gamma=gamma, r_low=r_low, r_high=r_high, p_rk=p_rk, p_sch=p_sch)
+    with np.errstate(all="ignore"):
+        try:
+            expected = _array_check(params, p_qne, p_arr)
+        except ZeroDivisionError:
+            expected = ZeroDivisionError
+    if expected is None:
+        solve_cv2x(params, 1.0 - p_qne, p_qne, p_arr)
+    else:
+        with pytest.raises(expected):
+            solve_cv2x(params, 1.0 - p_qne, p_qne, p_arr)

@@ -9,6 +9,7 @@ from v2xmac.coupling import (CouplingState, adaptive_cam_rate,
                              conserving_idle_exit, resolve_adaptive_t_c,
                              solve_coupled, _sweep)
 from v2xmac.dot11p import solve_dot11p, update_theta
+from v2xmac.errors import NoFixedPoint
 
 
 def _dot11p_flows(rep, s):
@@ -42,11 +43,12 @@ class TestSolveCoupled:
         assert a.iterations == b.iterations
 
     def test_default_point_regression(self):
-        # frozen after the first verified run at Gamma=100 defaults, N=50
+        # Gamma=100 defaults, N=50, pinned to a damped fixed-point iteration
+        # run to a step of 1e-13, far below the pin's 1e-10
         rep = solve_coupled("cv2x", scenario(n=50))
-        assert rep.state.p_t == pytest.approx(0.007523999695817362, abs=1e-10)
-        assert rep.state.p_qe == pytest.approx(0.13341382258030007, abs=1e-10)
-        assert rep.state.p_arr == pytest.approx(0.0062784639240275365, abs=1e-10)
+        assert rep.state.p_t == pytest.approx(0.007523999687441279, abs=1e-10)
+        assert rep.state.p_qe == pytest.approx(0.13341380876388642, abs=1e-10)
+        assert rep.state.p_arr == pytest.approx(0.006278463828341107, abs=1e-10)
 
     def test_cv2x_p_t_read_back_consistent(self):
         # the converged linking P_t equals the MAC solution's own product
@@ -56,11 +58,12 @@ class TestSolveCoupled:
             rep.cv2x.p_txo * (1.0 - rep.state.p_qe), abs=1e-10)
 
     def test_self_consistency_one_sweep(self):
-        # feeding the converged state back through one sweep moves nothing
+        # feeding the converged P_t back through one undamped sweep moves nothing
         s = scenario()
         rep = solve_coupled("cv2x", s, tolerance=1e-12)
-        _, residual, *_ = _sweep("cv2x", s, rep.state)
-        assert residual <= 1e-8
+        sweep = _sweep("cv2x", s, rep.state.p_t)
+        assert abs(sweep.residual) <= 1e-8
+        assert sweep.state == rep.state
 
     @pytest.mark.parametrize("tech", ["cv2x", "dot11p"])
     def test_initial_condition_independence(self, tech):
@@ -114,6 +117,45 @@ class TestSolveCoupled:
         assert out == pytest.approx(generated, rel=1e-6)
         assert rep.dropped_per_s > 0.1 * generated
         assert rep.state.p_qe < 1e-9
+
+    @pytest.mark.parametrize("n, theta", [(1600, 0.974043), (2000, 0.978177),
+                                          (3000, 0.984158)])
+    def test_dot11p_converges_at_high_n(self, n, theta):
+        # the MAC saturates here; the undamped sweep map has a single root
+        s = scenario(n=n)
+        rep = solve_coupled("dot11p", s)
+        assert rep.converged
+        assert rep.state.theta == pytest.approx(theta, abs=1e-6)
+        assert rep.state.theta == update_theta(rep.state.p_t, n)
+        out, generated = _dot11p_flows(rep, s)
+        assert out == pytest.approx(generated, rel=1e-9)
+        assert rep.dropped_per_s > 0.0
+
+    @pytest.mark.parametrize("tech", ["cv2x", "dot11p"])
+    def test_report_is_the_sweep_at_the_root(self, tech):
+        s = scenario(n=300)
+        rep = solve_coupled(tech, s)
+        sweep = _sweep(tech, s, rep.state.p_t)
+        assert sweep.state == rep.state
+        assert rep.residual == abs(sweep.residual)
+        assert rep.iterations == len(rep.trace)
+        assert (rep.state.p_t, sweep.residual) in rep.trace
+        mac = rep.cv2x if tech == "cv2x" else rep.dot11p
+        assert mac.p_t == sweep.p_t_out
+
+    def test_trace_starts_at_initial_p_t(self):
+        s = scenario(n=100)
+        start = CouplingState(p_t=0.2, p_qe=0.5, p_arr=0.0, theta=0.0)
+        rep = solve_coupled("cv2x", s, initial=start)
+        assert rep.trace[0][0] == 0.2
+        # the second end of the bracket is G(start) = start - f(start)
+        assert rep.trace[1][0] == pytest.approx(0.2 - rep.trace[0][1], rel=1e-12)
+
+    def test_no_fixed_point_carries_the_trace(self):
+        with pytest.raises(NoFixedPoint) as info:
+            solve_coupled("cv2x", scenario(), max_iterations=3)
+        assert len(info.value.trace) == 3
+        assert all(len(pair) == 2 for pair in info.value.trace)
 
     def test_theta_monotone_in_n(self):
         thetas = [solve_coupled("dot11p", scenario(n=n)).state.theta
