@@ -1,12 +1,15 @@
-"""Generic finite DTMC steady-state solver and explicit builders for the five chains.
+"""Generic finite DTMC solvers and explicit builders for the five chains.
 
 The five chains (CAM generator, DENM generator, device queue, C-V2X Mode 4,
 IEEE 802.11p) are materialized as explicit row-stochastic matrices so that
 every closed-form solution elsewhere in the package can be checked against a
-plain linear solve of pi P = pi.
+plain linear solve of pi P = pi, and the 802.11p per-state delays against
+exact mean first-passage times. `closed_form_states` maps a closed-form
+solution onto the same state labels the builders use.
 
 State enumeration is fixed and documented per chain (row-major over the
-(i, j) grids) so that regression snapshots stay stable:
+(i, j) grids) so that regression snapshots stay stable; `_states` is its one
+source:
 
   cam:    (tx, 0..T_C-1) then (txp, 0..T_C-1)
   denm:   idle, (tx, 0..T_D-1), (txp, 0..T_D-1)
@@ -19,15 +22,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity, lil_matrix
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .config import ScenarioConfig
-from .dot11p import dot11p_stages
+from .cv2x import Cv2xSolution
+from .dot11p import DelayTable, Dot11pSolution, dot11p_stages
 from .errors import NoConvergence, NonStochasticMatrix, UnknownChainKind
+from .traffic import GeneratorSolution, QueueSolution
 
 ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -72,6 +77,19 @@ class SteadyStateVector:
         return float(self.probs[self.labels[state]])
 
 
+def _linear_solve(a, b) -> np.ndarray:
+    """Solve the sparse system a x = b; a singular or non-finite result raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MatrixRankWarning)
+            x = np.atleast_1d(spsolve(csr_matrix(a), b))
+    except Exception as exc:  # singular factorization
+        raise NoConvergence(f"linear solve failed: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise NoConvergence("linear solve produced non-finite entries")
+    return x
+
+
 def solve_steady_state(m: TransitionMatrix) -> SteadyStateVector:
     """Solve pi P = pi, sum(pi) = 1 as a linear system.
 
@@ -83,14 +101,7 @@ def solve_steady_state(m: TransitionMatrix) -> SteadyStateVector:
     a[n - 1, :] = 1.0
     b = np.zeros(n)
     b[n - 1] = 1.0
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MatrixRankWarning)
-            pi = spsolve(csr_matrix(a), b)
-    except Exception as exc:  # singular factorization
-        raise NoConvergence(f"linear solve failed: {exc}") from exc
-    if not np.all(np.isfinite(pi)):
-        raise NoConvergence("linear solve produced non-finite entries")
+    pi = _linear_solve(a, b)
     residual = float(np.max(np.abs(pi @ m.rows - pi)))
     if residual > RESIDUAL_TOL or abs(pi.sum() - 1.0) > RESIDUAL_TOL:
         raise NoConvergence(
@@ -98,6 +109,26 @@ def solve_steady_state(m: TransitionMatrix) -> SteadyStateVector:
             "chain is likely reducible with several closed classes")
     pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
     return SteadyStateVector(probs=pi, labels=m.labels, residual=residual)
+
+
+def hitting_times(m: TransitionMatrix, target: str) -> Dict[str, float]:
+    """Expected steps from each state to its first visit of `target`, by label.
+
+    The target itself has 0. With Q the transitions among the other states,
+    the mean first-passage times solve (I - Q) d = 1 (Kemeny and Snell,
+    Finite Markov Chains, 1960). A state that cannot reach `target` makes
+    I - Q singular, which raises NoConvergence.
+    """
+    t = m.labels[target]
+    rest = np.delete(np.arange(m.n), t)
+    a = identity(m.n - 1, format="csr") - m.rows[rest][:, rest]
+    d = _linear_solve(a, np.ones(m.n - 1))
+    residual = float(np.max(np.abs(a @ d - 1.0)))
+    if residual > RESIDUAL_TOL * max(1.0, float(d.max())):
+        raise NoConvergence(f"hitting-time residual {residual:.3e}; "
+                            f"some state cannot reach {target!r}")
+    times = np.insert(d, t, 0.0)
+    return {label: float(times[k]) for label, k in m.labels.items()}
 
 
 @dataclass(frozen=True)
@@ -117,24 +148,102 @@ class CouplingInputs:
         return 1.0 - self.p_qe
 
 
-def build_chain(kind: str, params: ScenarioConfig, coupling: CouplingInputs) -> TransitionMatrix:
-    """Materialize one of the five chains as an explicit TransitionMatrix."""
-    if kind == "cam":
-        return _build_generator(params.traffic.t_c, coupling.p_t, denm=False)
-    if kind == "denm":
-        return _build_generator(params.traffic.t_d, coupling.p_t, denm=True,
-                                k=params.traffic.k, sigma=params.traffic.sigma)
+def _states(kind: str, params: ScenarioConfig) -> List[Tuple[str, str, object]]:
+    """The states of chain `kind` in matrix order, as (label, family, index).
+
+    The builders place their transitions by (family, index) and take their
+    labels from here, and `closed_form_states` reads each state's value by
+    (family, index), so every chain's layout is written once.
+    """
+    if kind in ("cam", "denm"):
+        t_l = params.traffic.t_c if kind == "cam" else params.traffic.t_d
+        head = [("idle", "idle", None)] if kind == "denm" else []
+        return (head + [(f"tx,{j}", "tx", j) for j in range(t_l)]
+                + [(f"txp,{j}", "txp", j) for j in range(t_l)])
     if kind == "queue":
-        return _build_queue(coupling.alpha, coupling.alpha1, coupling.beta,
-                            params.traffic.m)
+        return [(f"q{i}", "q", i) for i in range(params.traffic.m + 1)]
     if kind == "cv2x":
-        return _build_cv2x(params, coupling)
+        g, rh = params.cv2x.gamma, params.cv2x.r_high
+        return ([("idle", "idle", None)] + [(f"w,{j}", "w", j) for j in range(g - 1)]
+                + [(f"rc,{i},{j}", "rc", (i, j))
+                   for i in range(1, rh + 1) for j in range(g)])
     if kind == "dot11p":
-        return _build_dot11p(params, coupling)
+        p = params.dot11p
+        om, th = p.omega, p.tx_slots
+        stages = dot11p_stages(p.c_min)
+        return ([("idle", "idle", None)]
+                + [(f"a,{i}", "a", i) for i in range(1, om + 1)]
+                + [(f"b,{i}", "b", i) for i in range(1, th + 1)]
+                + [(f"bo,{s},a,{j}", "bo", (s, j)) for s in stages for j in range(1, om)]
+                + [(f"delta,{s},{j}", "delta", (s, j))
+                   for s in stages for j in range(1, th + 1)]
+                + [(f"sense,{s}", "sense", s) for s in stages]
+                + [(f"txm,{i}", "txm", i) for i in range(1, th + 1)])
     raise UnknownChainKind(f"unknown chain kind {kind!r}")
 
 
-def _build_generator(t_l: int, p_t: float, denm: bool, k: int = 1, sigma: float = 0.0):
+def build_chain(kind: str, params: ScenarioConfig, coupling: CouplingInputs) -> TransitionMatrix:
+    """Materialize one of the five chains as an explicit TransitionMatrix."""
+    states = _states(kind, params)
+    at = {(family, index): k for k, (_, family, index) in enumerate(states)}
+    m = lil_matrix((len(states), len(states)))
+    if kind == "cam":
+        _build_generator(m, at, params.traffic.t_c, coupling.p_t, denm=False)
+    elif kind == "denm":
+        _build_generator(m, at, params.traffic.t_d, coupling.p_t, denm=True,
+                         k=params.traffic.k, sigma=params.traffic.sigma)
+    elif kind == "queue":
+        _build_queue(m, at, coupling.alpha, coupling.alpha1, coupling.beta,
+                     params.traffic.m)
+    elif kind == "cv2x":
+        _build_cv2x(m, at, params, coupling)
+    else:
+        _build_dot11p(m, at, params, coupling)
+    return TransitionMatrix(rows=csr_matrix(m),
+                            labels={label: k for k, (label, _, _) in enumerate(states)})
+
+
+def _state_values(sol) -> Dict[str, Callable]:
+    """family -> (index -> value) for one closed-form solution."""
+    if isinstance(sol, GeneratorSolution):
+        return {"idle": lambda _: sol.pi_idle_denm, "tx": sol.pi_tx.__getitem__,
+                "txp": sol.pi_txp.__getitem__}
+    if isinstance(sol, QueueSolution):
+        return {"q": sol.pi.__getitem__}
+    if isinstance(sol, Cv2xSolution):
+        return {"idle": lambda _: sol.pi_idle, "w": sol.pi_w.__getitem__,
+                "rc": sol.pi_rc.__getitem__}
+    if isinstance(sol, Dot11pSolution):
+        # a backoff line's states share one value per stage
+        return {"idle": lambda _: sol.pi_idle, "a": lambda i: sol.pi_a[i - 1],
+                "b": lambda i: sol.pi_b[i - 1],
+                "bo": lambda sj: sol.pi_backoff_aifs[sj[0]],
+                "delta": lambda sj: sol.pi_delta[sj[0]],
+                "sense": sol.pi_sense.__getitem__, "txm": lambda i: sol.pi_tx[i - 1]}
+    if isinstance(sol, DelayTable):
+        return {"idle": lambda _: 0.0, "a": sol.aifs.__getitem__,
+                "b": sol.busy.__getitem__, "bo": sol.backoff_aifs.__getitem__,
+                "delta": sol.delta.__getitem__, "sense": sol.sense.__getitem__,
+                "txm": sol.tx.__getitem__}
+    raise TypeError(f"no state map for {type(sol).__name__}")
+
+
+def closed_form_states(kind: str, scenario: ScenarioConfig, solution) -> Dict[str, float]:
+    """A closed-form solution of chain `kind` as {state label: value}.
+
+    The labels are those `build_chain(kind, scenario, ...)` gives its states.
+    `solution` is a solver's result: a GeneratorSolution (cam, denm), a
+    QueueSolution, a Cv2xSolution or a Dot11pSolution maps its steady state;
+    a DelayTable maps its per-state delays onto the 802.11p states, the idle
+    state having zero delay.
+    """
+    value = _state_values(solution)
+    return {label: float(value[family](index))
+            for label, family, index in _states(kind, scenario)}
+
+
+def _build_generator(m, at, t_l: int, p_t: float, denm: bool, k: int = 1,
+                     sigma: float = 0.0):
     """CAM generator, or DENM generator when `denm` is set.
 
     Row tx tracks "current packet already sent", row txp "still blocked"; j
@@ -145,54 +254,42 @@ def _build_generator(t_l: int, p_t: float, denm: bool, k: int = 1, sigma: float 
     with probability 1/K at each generation instant.
     """
     q = 1.0 - p_t
-    off = 1 if denm else 0
-    n = off + 2 * t_l
-    labels = {}
-    if denm:
-        labels["idle"] = 0
-    for j in range(t_l):
-        labels[f"tx,{j}"] = off + j
-        labels[f"txp,{j}"] = off + t_l + j
-    m = lil_matrix((n, n))
-    tx = lambda j: off + j
-    txp = lambda j: off + t_l + j
+    tx = lambda j: at["tx", j]
+    txp = lambda j: at["txp", j]
     for j in range(1, t_l):
         m[tx(j), tx(j - 1)] = 1.0
         m[txp(j), tx(j - 1)] = p_t
         m[txp(j), txp(j - 1)] = q
     m[txp(0), txp(t_l - 1)] = 1.0
     if denm:
+        idle = at["idle", None]
         f = 1.0 - 1.0 / k
-        m[0, 0] = 1.0 - sigma
-        m[0, tx(0)] = sigma
-        m[tx(0), 0] = 1.0 / k
+        m[idle, idle] = 1.0 - sigma
+        m[idle, tx(0)] = sigma
+        m[tx(0), idle] = 1.0 / k
         if f > 0.0:
             m[tx(0), tx(t_l - 1)] = f * p_t
             m[tx(0), txp(t_l - 1)] = f * q
     else:
         m[tx(0), tx(t_l - 1)] = p_t
         m[tx(0), txp(t_l - 1)] = q
-    return TransitionMatrix(rows=csr_matrix(m), labels=labels)
 
 
-def _build_queue(alpha: float, alpha1: float, beta: float, m_cap: int):
+def _build_queue(m, at, alpha: float, alpha1: float, beta: float, m_cap: int):
     """Birth-death device queue on 0..M; arrivals at a full queue are dropped."""
-    n = m_cap + 1
-    labels = {f"q{i}": i for i in range(n)}
-    m = lil_matrix((n, n))
-    m[0, 0] = 1.0 - alpha1
+    q = lambda i: at["q", i]
+    m[q(0), q(0)] = 1.0 - alpha1
     if m_cap >= 1:
-        m[0, 1] = alpha1
+        m[q(0), q(1)] = alpha1
     for i in range(1, m_cap):
-        m[i, i + 1] = alpha
-        m[i, i - 1] = beta
-        m[i, i] = 1.0 - alpha - beta
-    m[m_cap, m_cap - 1] = beta
-    m[m_cap, m_cap] = 1.0 - beta
-    return TransitionMatrix(rows=csr_matrix(m), labels=labels)
+        m[q(i), q(i + 1)] = alpha
+        m[q(i), q(i - 1)] = beta
+        m[q(i), q(i)] = 1.0 - alpha - beta
+    m[q(m_cap), q(m_cap - 1)] = beta
+    m[q(m_cap), q(m_cap)] = 1.0 - beta
 
 
-def _build_cv2x(params: ScenarioConfig, c: CouplingInputs):
+def _build_cv2x(m, at, params: ScenarioConfig, c: CouplingInputs):
     """C-V2X Mode 4 state machine.
 
     Layout: idle; waiting line (w, 0..Gamma-2) counting down to the RC draw;
@@ -208,20 +305,13 @@ def _build_cv2x(params: ScenarioConfig, c: CouplingInputs):
     p_qne = c.p_qne
     p_qe = c.p_qe
     a = (c.p_arr + p_qne - c.p_arr * p_qne) * p.p_sch
-    n = 1 + (g - 1) + rh * g
-    labels = {"idle": 0}
-    for j in range(g - 1):
-        labels[f"w,{j}"] = 1 + j
-    for i in range(1, rh + 1):
-        for j in range(g):
-            labels[f"rc,{i},{j}"] = 1 + (g - 1) + (i - 1) * g + j
-    w = lambda j: 1 + j
-    rc = lambda i, j: 1 + (g - 1) + (i - 1) * g + j
+    idle = at["idle", None]
+    w = lambda j: at["w", j]
+    rc = lambda i, j: at["rc", (i, j)]
 
-    m = lil_matrix((n, n))
-    m[0, 0] = 1.0 - a
+    m[idle, idle] = 1.0 - a
     for j in range(g - 1):
-        m[0, w(j)] = a / (g - 1)
+        m[idle, w(j)] = a / (g - 1)
     for j in range(1, g - 1):
         m[w(j), w(j - 1)] = 1.0
     for i in range(rl, rh + 1):
@@ -243,11 +333,10 @@ def _build_cv2x(params: ScenarioConfig, c: CouplingInputs):
     for j in range(g - 1):
         m[rc(1, 0), w(j)] += p_qne * (1.0 - p.p_rk) * p.p_sch / (g - 1)
     if p.p_sch < 1.0:
-        m[rc(1, 0), 0] = p_qne * (1.0 - p.p_rk) * (1.0 - p.p_sch)
-    return TransitionMatrix(rows=csr_matrix(m), labels=labels)
+        m[rc(1, 0), idle] = p_qne * (1.0 - p.p_rk) * (1.0 - p.p_sch)
 
 
-def _build_dot11p(params: ScenarioConfig, c: CouplingInputs):
+def _build_dot11p(m, at, params: ScenarioConfig, c: CouplingInputs):
     """IEEE 802.11p state machine at aSlotTime resolution.
 
     Idle exits with probability 1 - P_qe (1 - P_arr) into the sensed AIFS
@@ -262,56 +351,36 @@ def _build_dot11p(params: ScenarioConfig, c: CouplingInputs):
     theta = c.theta
     h = 1.0 - c.p_qe * (1.0 - c.p_arr)
     stages = dot11p_stages(cmin)
+    idle = at["idle", None]
 
-    labels = {"idle": 0}
-    k = 1
-    for i in range(1, om + 1):
-        labels[f"a,{i}"] = k; k += 1
-    for i in range(1, th + 1):
-        labels[f"b,{i}"] = k; k += 1
-    for s in stages:
-        for j in range(1, om):
-            labels[f"bo,{s},a,{j}"] = k; k += 1
-    for s in stages:
-        for j in range(1, th + 1):
-            labels[f"delta,{s},{j}"] = k; k += 1
-    for s in stages:
-        labels[f"sense,{s}"] = k; k += 1
-    for i in range(1, th + 1):
-        labels[f"txm,{i}"] = k; k += 1
-    n = k
-    ix = labels
-
-    m = lil_matrix((n, n))
-    m[0, 0] = 1.0 - h
-    m[0, ix["a,1"]] = h
+    m[idle, idle] = 1.0 - h
+    m[idle, at["a", 1]] = h
     for i in range(1, om):
-        m[ix[f"a,{i}"], ix[f"a,{i + 1}"]] = 1.0 - theta
-    m[ix[f"a,{om}"], ix["txm,1"]] = 1.0 - theta
+        m[at["a", i], at["a", i + 1]] = 1.0 - theta
+    m[at["a", om], at["txm", 1]] = 1.0 - theta
     for i in range(1, th + 1):
-        m[ix["a,1"], ix[f"b,{i}"]] = theta / th
+        m[at["a", 1], at["b", i]] = theta / th
     for i in range(2, om + 1):
-        m[ix[f"a,{i}"], ix["b,1"]] = theta
+        m[at["a", i], at["b", 1]] = theta
     for i in range(1, th):
-        m[ix[f"b,{i}"], ix[f"b,{i + 1}"]] = 1.0
+        m[at["b", i], at["b", i + 1]] = 1.0
     for s in stages:
         weight = 2.0 / cmin if s == 0 else 1.0 / cmin
-        entry = ix[f"bo,{s},a,1"] if om > 1 else ix[f"sense,{s}"]
-        m[ix[f"b,{th}"], entry] += weight
+        entry = at["bo", (s, 1)] if om > 1 else at["sense", s]
+        m[at["b", th], entry] += weight
         for j in range(1, om - 1):
-            m[ix[f"bo,{s},a,{j}"], ix[f"bo,{s},a,{j + 1}"]] = 1.0
+            m[at["bo", (s, j)], at["bo", (s, j + 1)]] = 1.0
         if om > 1:
-            m[ix[f"bo,{s},a,{om - 1}"], ix[f"sense,{s}"]] = 1.0
-        m[ix[f"sense,{s}"], ix[f"delta,{s},1"]] = theta
+            m[at["bo", (s, om - 1)], at["sense", s]] = 1.0
+        m[at["sense", s], at["delta", (s, 1)]] = theta
         for j in range(1, th):
-            m[ix[f"delta,{s},{j}"], ix[f"delta,{s},{j + 1}"]] = 1.0
-        m[ix[f"delta,{s},{th}"], entry] = 1.0
+            m[at["delta", (s, j)], at["delta", (s, j + 1)]] = 1.0
+        m[at["delta", (s, th)], entry] = 1.0
     for pos, s in enumerate(stages):
         if s == 0:
-            m[ix["sense,0"], ix["txm,1"]] = 1.0 - theta
+            m[at["sense", 0], at["txm", 1]] = 1.0 - theta
         else:
-            m[ix[f"sense,{s}"], ix[f"sense,{stages[pos - 1]}"]] = 1.0 - theta
+            m[at["sense", s], at["sense", stages[pos - 1]]] = 1.0 - theta
     for i in range(1, th):
-        m[ix[f"txm,{i}"], ix[f"txm,{i + 1}"]] = 1.0
-    m[ix[f"txm,{th}"], 0] = 1.0
-    return TransitionMatrix(rows=csr_matrix(m), labels=labels)
+        m[at["txm", i], at["txm", i + 1]] = 1.0
+    m[at["txm", th], idle] = 1.0

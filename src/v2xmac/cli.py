@@ -15,7 +15,6 @@ from .config import ScenarioConfig, parse_config
 from .coupling import resolve_adaptive_t_c, solve_coupled
 from .errors import ConfigParseError, NoFixedPoint, V2xMacError
 from .metrics import evaluate_fixed_point
-from .sim import run_sim
 
 SOLVE_SCHEMA = "#schema=v2xmac.solve.v1"
 SOLVE_HEADER = ("tech,N,Gamma,T_C,T_D,K,lambda,P_rk,AIFSN,theta,P_qe,P_t,"
@@ -83,6 +82,7 @@ def cmd_solve(args):
 
 
 def cmd_simulate(args):
+    from .sim import run_sim   # the simulator stays off the import path of `solve`
     cfg = parse_config(Path(args.config).read_text())
     points = _scenario_points(cfg)
     if args.trace and len(points) > 1:
@@ -112,6 +112,7 @@ def cmd_simulate(args):
 
 
 def cmd_compare(args):
+    from .sim import run_sim
     cfg = parse_config(Path(args.config).read_text())
     lines = [COMPARE_SCHEMA, COMPARE_HEADER]
     for tech, s in _scenario_points(cfg):

@@ -282,9 +282,8 @@ def adaptive_cam_rate(theta: float, base_t_c: int) -> int:
     return min(max(t_c, 100), 1000)
 
 
-def resolve_adaptive_t_c(tech: str, scenario: ScenarioConfig,
-                         policy=adaptive_cam_rate) -> ScenarioConfig:
-    """Apply the rate-control policy until T_C stabilizes.
+def resolve_adaptive_t_c(tech: str, scenario: ScenarioConfig) -> ScenarioConfig:
+    """Apply the rate-control policy `adaptive_cam_rate` until T_C stabilizes.
 
     Each round solves the fixed point at the current T_C and maps the
     resulting busy ratio through the policy against the base interval.
@@ -299,5 +298,5 @@ def resolve_adaptive_t_c(tech: str, scenario: ScenarioConfig,
     while t_c not in seen:
         seen.add(t_c)
         rep = solve_coupled(tech, scenario.with_value("t_c", t_c))
-        t_c = policy(rep.state.theta, base)
+        t_c = adaptive_cam_rate(rep.state.theta, base)
     return scenario.with_value("t_c", t_c)

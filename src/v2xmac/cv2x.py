@@ -62,16 +62,8 @@ class Cv2xSolution:
     _form: Optional[_Cv2xForm] = form_field()
 
     @property
-    def pi_w0(self) -> float:
-        return float(self.pi_w[0])
-
-    @property
     def pi_10(self) -> float:
         return float(self.pi_rc[1, 0])
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.pi_idle + self.pi_w.sum() + self.pi_rc[1:].sum())
 
 
 def solve_cv2x(params: Cv2xParams, p_qe: float, p_qne: float, p_arr: float) -> Cv2xSolution:

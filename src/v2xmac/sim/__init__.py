@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from typing import Callable, Optional
 
 from ..config import ScenarioConfig
@@ -13,12 +14,6 @@ from .report import ReplicationStats, SimReport, merge_replications
 TraceSink = Callable[[int, int, str, str], None]
 
 MIN_DURATION_S = 10.0
-
-
-def _one(args):
-    tech, scenario, seed, rep, duration_s = args
-    runner = _cv2x.run_replication if tech == "cv2x" else _dot11p.run_replication
-    return runner(scenario, seed, rep, duration_s)
 
 
 def run_sim(tech: str, scenario: ScenarioConfig, seed: int, duration_s: float,
@@ -47,9 +42,9 @@ def run_sim(tech: str, scenario: ScenarioConfig, seed: int, duration_s: float,
         stats.append(runner(scenario, seed, 0, duration_s, trace=trace))
         reps = reps[1:]
     if jobs > 1 and len(reps) > 1:
-        work = [(tech, scenario, seed, r, duration_s) for r in reps]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            stats.extend(pool.map(_one, work))
+            stats.extend(pool.map(runner, repeat(scenario), repeat(seed), reps,
+                                  repeat(duration_s)))
     else:
         for r in reps:
             stats.append(runner(scenario, seed, r, duration_s))

@@ -14,10 +14,9 @@ from collections import defaultdict, deque
 import numpy as np
 
 from ..config import ScenarioConfig
-from .report import ReplicationStats
+from .report import WARMUP_S, ReplicationStats
 from .traffic import CAM, arrival_stream
 
-WARMUP_MS = 2000
 SENSING_WINDOW_MS = 1000
 
 
@@ -48,7 +47,7 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
     n_cells = gamma * csrs
     l2_size = max(1, int(np.ceil(0.2 * n_cells)))
     duration_ms = int(round(duration_s * 1000))
-    warmup = min(WARMUP_MS, duration_ms // 4)
+    warmup = min(int(round(WARMUP_S * 1000)), duration_ms // 4)
 
     vehicles = []
     occupancy = np.zeros(n_cells, dtype=np.int32)

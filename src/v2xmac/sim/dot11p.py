@@ -18,10 +18,8 @@ import numpy as np
 
 from ..config import ScenarioConfig
 from ..errors import SimulatorInvariant
-from .report import ReplicationStats
+from .report import WARMUP_S, ReplicationStats
 from .traffic import CAM, arrival_stream
-
-WARMUP_SLOTS_S = 2.0
 
 # event phases: transmissions register before sensing; arrivals settle last
 PH_TXSTART = 0
@@ -53,7 +51,7 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
     cmin, om, th = p.c_min, p.omega, p.tx_slots
     slot_us = p.slot_us
     duration_slots = int(round(duration_s * 1e6 / slot_us))
-    warmup = min(int(round(WARMUP_SLOTS_S * 1e6 / slot_us)), duration_slots // 4)
+    warmup = min(int(round(WARMUP_S * 1e6 / slot_us)), duration_slots // 4)
 
     vehicles = []
     mac_rngs = []

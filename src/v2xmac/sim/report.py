@@ -5,6 +5,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+WARMUP_S = 2.0   # simulated time cut from the start of every replication
+
 
 @dataclass
 class ReplicationStats:

@@ -65,10 +65,6 @@ class GeneratorSolution:
         return self._form.txp_tail if self._form else float(self.pi_txp[1:].sum())
 
     @property
-    def total_mass(self) -> float:
-        return float(self.pi_tx.sum() + self.pi_txp.sum() + self.pi_idle_denm)
-
-    @property
     def generation_rate(self) -> float:
         """Packets generated per subframe: the mass of the j = 0 column.
 

@@ -1,8 +1,8 @@
-import numpy as np
 import pytest
 from hypothesis import settings
 
-from v2xmac.chains import CouplingInputs
+from v2xmac.chains import (CouplingInputs, build_chain, closed_form_states,
+                           solve_steady_state)
 from v2xmac.config import (Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams,
                             rc_window)
 
@@ -45,5 +45,13 @@ def assert_close(a, b, tol=1e-9):
     assert abs(a - b) <= tol, f"{a!r} vs {b!r} (tol {tol:g})"
 
 
-def max_abs(a, b):
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+def oracle_gap(kind, s, solution, inputs):
+    """Largest state-wise gap between a closed-form solution and its explicit chain.
+
+    `inputs` are the CouplingInputs the chain is built at; the two must name
+    the same states.
+    """
+    closed = closed_form_states(kind, s, solution)
+    pi = solve_steady_state(build_chain(kind, s, inputs))
+    assert set(closed) == set(pi.labels)
+    return max(abs(value - pi[label]) for label, value in closed.items())

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import coupling, scenario
-from v2xmac.chains import build_chain, dot11p_stages, solve_steady_state
-from v2xmac.config import STANDARD_WINDOWS, Cv2xParams, Dot11pParams, TrafficParams
+from conftest import coupling, oracle_gap, scenario
+from v2xmac.config import Dot11pParams
 from v2xmac.coupling import CouplingState, solve_coupled
 from v2xmac.cv2x import solve_cv2x
 from v2xmac.dot11p import solve_dot11p
@@ -74,65 +73,26 @@ def _grid_200():
 
 
 def _closed_vs_oracle(kind, point):
-    if kind == "cam":
-        s = scenario(t_c=point["t_c"])
-        sol = solve_cam(s.traffic, point["p_t"])
-        pi = solve_steady_state(build_chain("cam", s, coupling(p_t=point["p_t"])))
-        t = s.traffic.t_c
-        closed = np.concatenate([sol.pi_tx, sol.pi_txp])
-        labels = [f"tx,{j}" for j in range(t)] + [f"txp,{j}" for j in range(t)]
-    elif kind == "denm":
-        s = scenario(t_d=point["t_d"], k=point["k"], lam=point["lam"])
-        sol = solve_denm(s.traffic, point["p_t"])
-        pi = solve_steady_state(build_chain("denm", s, coupling(p_t=point["p_t"])))
-        t = s.traffic.t_d
-        closed = np.concatenate([[sol.pi_idle_denm], sol.pi_tx, sol.pi_txp])
-        labels = ["idle"] + [f"tx,{j}" for j in range(t)] + [f"txp,{j}" for j in range(t)]
+    if kind in ("cam", "denm"):
+        s = scenario(**{k: v for k, v in point.items() if k != "p_t"})
+        solve = solve_cam if kind == "cam" else solve_denm
+        sol = solve(s.traffic, point["p_t"])
+        inputs = coupling(p_t=point["p_t"])
     elif kind == "queue":
         s = scenario(m=point["m"])
-        sol = solve_queue(point["alpha"], point["alpha1"], point["beta"], point["m"])
-        pi = solve_steady_state(build_chain("queue", s, coupling(**{
-            k: point[k] for k in ("alpha", "alpha1", "beta")})))
-        closed = sol.pi
-        labels = [f"q{i}" for i in range(point["m"] + 1)]
+        rates = {k: point[k] for k in ("alpha", "alpha1", "beta")}
+        sol = solve_queue(m_cap=point["m"], **rates)
+        inputs = coupling(**rates)
     elif kind == "cv2x":
-        gamma = point["gamma"]
-        lo, hi = STANDARD_WINDOWS[gamma]
-        p_sch = point.get("p_sch", 1.0)
-        s = scenario(gamma=gamma, p_rk=point["p_rk"], p_sch=p_sch)
+        s = scenario(gamma=point["gamma"], p_rk=point["p_rk"],
+                     p_sch=point.get("p_sch", 1.0))
         sol = solve_cv2x(s.cv2x, 1.0 - point["p_qne"], point["p_qne"], point["p_arr"])
-        pi = solve_steady_state(build_chain(
-            "cv2x", s, coupling(p_qe=1.0 - point["p_qne"], p_arr=point["p_arr"])))
-        closed = [sol.pi_idle] + list(sol.pi_w)
-        labels = ["idle"] + [f"w,{j}" for j in range(gamma - 1)]
-        for i in range(1, hi + 1):
-            closed.extend(sol.pi_rc[i])
-            labels.extend(f"rc,{i},{j}" for j in range(gamma))
-        closed = np.asarray(closed)
+        inputs = coupling(p_qe=1.0 - point["p_qne"], p_arr=point["p_arr"])
     else:
         s = scenario()
-        p = s.dot11p
-        sol = solve_dot11p(p, point["p_qe"], point["p_arr"], point["theta"])
-        pi = solve_steady_state(build_chain("dot11p", s, coupling(
-            theta=point["theta"], p_qe=point["p_qe"], p_arr=point["p_arr"])))
-        closed, labels = [sol.pi_idle], ["idle"]
-        closed += list(sol.pi_a) + list(sol.pi_b)
-        labels += [f"a,{i}" for i in range(1, p.omega + 1)]
-        labels += [f"b,{i}" for i in range(1, p.tx_slots + 1)]
-        for st_ in dot11p_stages(p.c_min):
-            closed += [sol.pi_backoff_aifs[st_]] * (p.omega - 1)
-            labels += [f"bo,{st_},a,{j}" for j in range(1, p.omega)]
-        for st_ in dot11p_stages(p.c_min):
-            closed += [sol.pi_delta[st_]] * p.tx_slots
-            labels += [f"delta,{st_},{j}" for j in range(1, p.tx_slots + 1)]
-        for st_ in dot11p_stages(p.c_min):
-            closed.append(sol.pi_sense[st_])
-            labels.append(f"sense,{st_}")
-        closed += list(sol.pi_tx)
-        labels += [f"txm,{i}" for i in range(1, p.tx_slots + 1)]
-        closed = np.asarray(closed)
-    oracle = np.array([pi[lbl] for lbl in labels])
-    return float(np.max(np.abs(np.asarray(closed) - oracle)))
+        sol = solve_dot11p(s.dot11p, point["p_qe"], point["p_arr"], point["theta"])
+        inputs = coupling(**point)
+    return oracle_gap(kind, s, sol, inputs)
 
 
 def test_criterion_1_oracle_equivalence():

@@ -5,10 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from conftest import coupling, scenario
-from v2xmac.chains import (CouplingInputs, TransitionMatrix, build_chain,
+from conftest import coupling, oracle_gap, scenario
+from v2xmac.chains import (CHAIN_KINDS, TransitionMatrix, build_chain, hitting_times,
                            solve_steady_state)
+from v2xmac.config import Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams
+from v2xmac.cv2x import solve_cv2x
+from v2xmac.dot11p import solve_dot11p
 from v2xmac.errors import NoConvergence, NonStochasticMatrix, UnknownChainKind
+from v2xmac.traffic import solve_cam, solve_denm, solve_queue
 
 
 def dense_matrix(rows, labels=None):
@@ -67,6 +71,16 @@ class TestSolver:
         pi = solve_steady_state(dense_matrix([[0.9, 0.1], [0.4, 0.6]]))
         assert pi["s0"] == pi.probs[0]
 
+    def test_hitting_times_geometric(self):
+        # leaving s0 is a Bernoulli(0.1) trial per step; s2 is one step past s1
+        m = dense_matrix([[0.9, 0.1, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        d = hitting_times(m, "s2")
+        assert d == pytest.approx({"s0": 11.0, "s1": 1.0, "s2": 0.0}, rel=1e-12)
+
+    def test_hitting_times_unreachable_target(self):
+        with pytest.raises(NoConvergence):
+            hitting_times(dense_matrix([[1, 0], [0.5, 0.5]]), "s1")
+
 
 class TestBuilders:
     def test_unknown_kind(self):
@@ -115,3 +129,24 @@ class TestBuilders:
         pi = solve_steady_state(m)
         assert abs(pi["tx,0"] - 1.0 / 100) < 1e-12
         assert all(pi[f"txp,{j}"] == 0.0 for j in range(100))
+
+
+# the smallest valid shape of every chain: one waiting state, one RC row, a
+# two-subframe DENM period with K = 1, a one-packet queue, Omega = 2 and a
+# one-slot transmission
+SMALLEST = ScenarioConfig(
+    traffic=TrafficParams(t_d=2, k=1, m=1),
+    cv2x=Cv2xParams(gamma=2, r_low=1, r_high=1, p_rk=0.8, p_sch=0.5),
+    dot11p=Dot11pParams(c_min=3, aifsn=2, sifs_us=0.0, tx_slots=1))
+
+
+@pytest.mark.parametrize("kind", CHAIN_KINDS)
+def test_smallest_shapes_match_oracle(kind):
+    s = SMALLEST.validate()
+    assert s.dot11p.omega == 2
+    c = coupling(p_t=0.3, p_qe=0.4, p_arr=0.2, theta=0.3, alpha=0.2, alpha1=0.1, beta=0.3)
+    closed = {"cam": solve_cam(s.traffic, c.p_t), "denm": solve_denm(s.traffic, c.p_t),
+              "queue": solve_queue(c.alpha, c.alpha1, c.beta, s.traffic.m),
+              "cv2x": solve_cv2x(s.cv2x, c.p_qe, c.p_qne, c.p_arr),
+              "dot11p": solve_dot11p(s.dot11p, c.p_qe, c.p_arr, c.theta)}
+    assert oracle_gap(kind, s, closed[kind], c) < 1e-9

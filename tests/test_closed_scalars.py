@@ -13,7 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from v2xmac.config import Cv2xParams, Dot11pParams, TrafficParams
+from v2xmac.chains import closed_form_states
+from v2xmac.config import Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams
 from v2xmac.cv2x import solve_cv2x
 from v2xmac.dot11p import solve_dot11p
 from v2xmac.errors import (ChannelSaturated, DegenerateTransmitProbability,
@@ -33,15 +34,14 @@ def _close(scalar, from_arrays):
        lam=st.floats(0.01, 100.0), denm=st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_generator_scalars_match_arrays(t_l, p_t, k, lam, denm):
-    if denm:
-        sol = solve_denm(TrafficParams(t_d=t_l, k=k, lam=lam), p_t)
-    else:
-        sol = solve_cam(TrafficParams(t_c=t_l), p_t)
+    s = ScenarioConfig(traffic=TrafficParams(t_c=t_l, t_d=t_l, k=k, lam=lam))
+    sol = (solve_denm if denm else solve_cam)(s.traffic, p_t)
     assert _close(sol.tx_first, float(sol.pi_tx[0]))
     assert _close(sol.txp_first, float(sol.pi_txp[0]))
     assert _close(sol.txp_tail, float(sol.pi_txp[1:].sum()))
     assert _close(sol.generation_rate, float(sol.pi_tx[0] + sol.pi_txp[0]))
-    assert abs(sol.total_mass - 1.0) < 1e-10
+    mass = sum(closed_form_states("denm" if denm else "cam", s, sol).values())
+    assert abs(mass - 1.0) < 1e-10
 
 
 @given(p_t=st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, 1e-17, 1e-300]))
@@ -89,15 +89,11 @@ def test_queue_p_qe_near_alpha_equal_beta():
        aifsn=st.integers(2, 15), tx_slots=st.integers(1, 30))
 @settings(max_examples=200, deadline=None)
 def test_dot11p_scalars_match_arrays(theta, p_qe, p_arr, c_min, aifsn, tx_slots):
-    params = Dot11pParams(c_min=c_min, aifsn=aifsn, tx_slots=tx_slots)
-    sol = solve_dot11p(params, p_qe, p_arr, theta)
-    om, th = params.omega, params.tx_slots
-    others = (sol.pi_a.sum() + sol.pi_b.sum() + sol.pi_tx.sum()
-              + sum(sol.pi_sense.values()) + th * sum(sol.pi_delta.values())
-              + (om - 1) * sum(sol.pi_backoff_aifs.values()))
+    s = ScenarioConfig(dot11p=Dot11pParams(c_min=c_min, aifsn=aifsn, tx_slots=tx_slots))
+    sol = solve_dot11p(s.dot11p, p_qe, p_arr, theta)
     # every family is pi_Idle times its relative mass, so normalizing the
-    # arrays gives pi_Idle / mass; 1 - others would cancel at small pi_Idle
-    mass = sol.pi_idle + float(others)
+    # arrays gives pi_Idle / mass; 1 - (mass - pi_Idle) would cancel at small pi_Idle
+    mass = sum(closed_form_states("dot11p", s, sol).values())
     assert _close(sol.pi_idle, sol.pi_idle / mass)
     assert _close(sol.p_t, float(sol.pi_tx.sum()))
 
@@ -145,12 +141,12 @@ def _array_check(params, p_qne, p_arr):
        p_arr=probability)
 @settings(max_examples=200, deadline=None)
 def test_cv2x_p_txo_matches_array(gamma, r_low, width, p_rk, p_sch, p_qne, p_arr):
-    params = Cv2xParams(gamma=gamma, r_low=r_low, r_high=r_low + width,
-                        p_rk=p_rk, p_sch=p_sch)
-    sol = solve_cv2x(params, 1.0 - p_qne, p_qne, p_arr)
+    s = ScenarioConfig(cv2x=Cv2xParams(gamma=gamma, r_low=r_low, r_high=r_low + width,
+                                       p_rk=p_rk, p_sch=p_sch))
+    sol = solve_cv2x(s.cv2x, 1.0 - p_qne, p_qne, p_arr)
     assert _close(sol.p_txo, float(sol.pi_rc[1:, 0].sum()))
     assert sol.p_t == sol.p_txo * p_qne
-    assert abs(sol.total_mass - 1.0) < 1e-10
+    assert abs(sum(closed_form_states("cv2x", s, sol).values()) - 1.0) < 1e-10
 
 
 @given(gamma=st.integers(2, 100), r_low=st.integers(-2, 30), r_high=st.integers(1, 30),

@@ -1,11 +1,11 @@
 """C-V2X Mode 4 closed form against the chain oracle."""
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coupling, scenario
-from v2xmac.chains import build_chain, solve_steady_state
+from conftest import coupling, oracle_gap, scenario
+from v2xmac.chains import closed_form_states
+from v2xmac.config import ScenarioConfig
 from v2xmac.config import Cv2xParams
 from v2xmac.cv2x import solve_cv2x
 from v2xmac.errors import SaturatedQueue
@@ -13,35 +13,19 @@ from v2xmac.errors import SaturatedQueue
 TRIPLES = [(100, 5, 15), (50, 10, 30), (20, 25, 75)]
 
 
-def oracle(gamma, r_low, r_high, p_rk, p_sch, p_qne, p_arr):
-    s = scenario(gamma=gamma, r_low=r_low, r_high=r_high, p_rk=p_rk, p_sch=p_sch)
-    m = build_chain("cv2x", s, coupling(p_qe=1.0 - p_qne, p_arr=p_arr))
-    return solve_steady_state(m), s
-
-
-def compare(sol, pi, gamma, r_high):
-    errs = [abs(sol.pi_idle - pi["idle"])]
-    errs += [abs(sol.pi_w[j] - pi[f"w,{j}"]) for j in range(gamma - 1)]
-    for i in range(1, r_high + 1):
-        errs += [abs(sol.pi_rc[i, j] - pi[f"rc,{i},{j}"]) for j in range(gamma)]
-    return max(errs)
-
-
 class TestClosedForm:
     @pytest.mark.parametrize("gamma,r_low,r_high", TRIPLES)
     @pytest.mark.parametrize("p_rk", [0.0, 0.4, 0.8])
     @pytest.mark.parametrize("p_qne", [0.3, 0.7, 0.99])
     def test_matches_oracle_standard_grid(self, gamma, r_low, r_high, p_rk, p_qne):
-        params = Cv2xParams(gamma=gamma, r_low=r_low, r_high=r_high, p_rk=p_rk)
-        sol = solve_cv2x(params, 1.0 - p_qne, p_qne, 0.2)
-        pi, _ = oracle(gamma, r_low, r_high, p_rk, 1.0, p_qne, 0.2)
-        assert compare(sol, pi, gamma, r_high) < 1e-9
+        s = scenario(gamma=gamma, r_low=r_low, r_high=r_high, p_rk=p_rk)
+        sol = solve_cv2x(s.cv2x, 1.0 - p_qne, p_qne, 0.2)
+        assert oracle_gap("cv2x", s, sol, coupling(p_qe=1.0 - p_qne, p_arr=0.2)) < 1e-9
 
     def test_partial_scheduling_success(self):
-        params = Cv2xParams(gamma=100, r_low=5, r_high=15, p_rk=0.4, p_sch=0.9)
-        sol = solve_cv2x(params, 0.5, 0.5, 0.3)
-        pi, _ = oracle(100, 5, 15, 0.4, 0.9, 0.5, 0.3)
-        assert compare(sol, pi, 100, 15) < 1e-9
+        s = scenario(gamma=100, r_low=5, r_high=15, p_rk=0.4, p_sch=0.9)
+        sol = solve_cv2x(s.cv2x, 0.5, 0.5, 0.3)
+        assert oracle_gap("cv2x", s, sol, coupling(p_qe=0.5, p_arr=0.3)) < 1e-9
         assert sol.pi_idle > 0.0
 
     def test_full_scheduling_empties_idle(self):
@@ -55,9 +39,10 @@ class TestClosedForm:
     @settings(max_examples=25, deadline=None)
     def test_mass_is_one(self, triple, p_rk, p_qne, p_arr):
         gamma, r_low, r_high = triple
-        sol = solve_cv2x(Cv2xParams(gamma=gamma, r_low=r_low, r_high=r_high, p_rk=p_rk),
-                         1.0 - p_qne, p_qne, p_arr)
-        assert abs(sol.total_mass - 1.0) < 1e-10
+        s = ScenarioConfig(cv2x=Cv2xParams(gamma=gamma, r_low=r_low, r_high=r_high,
+                                           p_rk=p_rk))
+        sol = solve_cv2x(s.cv2x, 1.0 - p_qne, p_qne, p_arr)
+        assert abs(sum(closed_form_states("cv2x", s, sol).values()) - 1.0) < 1e-10
 
     def test_saturated_queue_rejected(self):
         with pytest.raises(SaturatedQueue):

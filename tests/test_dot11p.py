@@ -1,33 +1,16 @@
 """802.11p closed form, busy-ratio update and state delays."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coupling, scenario
-from v2xmac.chains import build_chain, dot11p_stages, solve_steady_state
-from v2xmac.config import Dot11pParams
+from conftest import coupling, oracle_gap, scenario
+from v2xmac.chains import build_chain, closed_form_states, hitting_times
+from v2xmac.config import Dot11pParams, ScenarioConfig
 from v2xmac.dot11p import solve_dot11p, state_delays, update_theta
 from v2xmac.errors import ChannelSaturated
-
-
-def oracle(theta, p_qe, p_arr, aifsn=6):
-    s = scenario(aifsn=aifsn)
-    m = build_chain("dot11p", s, coupling(theta=theta, p_qe=p_qe, p_arr=p_arr))
-    return solve_steady_state(m), s
-
-
-def compare(sol, pi, params):
-    om, th = params.omega, params.tx_slots
-    errs = [abs(sol.pi_idle - pi["idle"])]
-    errs += [abs(sol.pi_a[i - 1] - pi[f"a,{i}"]) for i in range(1, om + 1)]
-    errs += [abs(sol.pi_b[i - 1] - pi[f"b,{i}"]) for i in range(1, th + 1)]
-    errs += [abs(sol.pi_tx[i - 1] - pi[f"txm,{i}"]) for i in range(1, th + 1)]
-    for s in dot11p_stages(params.c_min):
-        errs.append(abs(sol.pi_sense[s] - pi[f"sense,{s}"]))
-        errs += [abs(sol.pi_delta[s] - pi[f"delta,{s},{j}"]) for j in range(1, th + 1)]
-        errs += [abs(sol.pi_backoff_aifs[s] - pi[f"bo,{s},a,{j}"]) for j in range(1, om)]
-    return max(errs)
 
 
 class TestClosedForm:
@@ -37,16 +20,14 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("theta", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     def test_matches_oracle_over_theta(self, theta):
-        params = Dot11pParams()
-        sol = solve_dot11p(params, 0.6, 0.2, theta)
-        pi, _ = oracle(theta, 0.6, 0.2)
-        assert compare(sol, pi, params) < 1e-9
+        s = scenario()
+        sol = solve_dot11p(s.dot11p, 0.6, 0.2, theta)
+        assert oracle_gap("dot11p", s, sol, coupling(theta=theta, p_qe=0.6, p_arr=0.2)) < 1e-9
 
     def test_matches_oracle_alternate_omega(self):
-        params = Dot11pParams(aifsn=9)
-        sol = solve_dot11p(params, 0.5, 0.1, 0.3)
-        pi, _ = oracle(0.3, 0.5, 0.1, aifsn=9)
-        assert compare(sol, pi, params) < 1e-9
+        s = scenario(aifsn=9)
+        sol = solve_dot11p(s.dot11p, 0.5, 0.1, 0.3)
+        assert oracle_gap("dot11p", s, sol, coupling(theta=0.3, p_qe=0.5, p_arr=0.1)) < 1e-9
 
     def test_idle_channel_empties_busy_states(self):
         params = Dot11pParams()
@@ -60,14 +41,9 @@ class TestClosedForm:
            st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=40, deadline=None)
     def test_mass_is_one(self, theta, p_qe, p_arr):
-        params = Dot11pParams()
-        sol = solve_dot11p(params, p_qe, p_arr, theta)
-        om, th = params.omega, params.tx_slots
-        mass = (sol.pi_idle + sol.pi_a.sum() + sol.pi_b.sum() + sol.pi_tx.sum()
-                + sum(sol.pi_sense.values())
-                + th * sum(sol.pi_delta.values())
-                + (om - 1) * sum(sol.pi_backoff_aifs.values()))
-        assert abs(mass - 1.0) < 1e-10
+        s = scenario()
+        sol = solve_dot11p(s.dot11p, p_qe, p_arr, theta)
+        assert abs(sum(closed_form_states("dot11p", s, sol).values()) - 1.0) < 1e-10
 
     def test_saturated_channel_rejected(self):
         with pytest.raises(ChannelSaturated):
@@ -92,6 +68,16 @@ class TestUpdateTheta:
             brute *= 0.99
         assert update_theta(0.01, 101) == pytest.approx(1.0 - brute, abs=1e-15)
         assert update_theta(0.01, 101) == pytest.approx(0.6339676587267709, abs=1e-12)
+
+
+# delays at the default parameters and theta = 0.3, frozen from the recurrences
+FROZEN_DELAYS = [
+    ("sense", 0, 24.857142857142858),
+    ("sense", 7, 90.0),
+    ("busy", 14, 99.72380952380952),
+    ("busy", 1, 112.72380952380952),
+    ("aifs", 1, 109.98876902274283),
+]
 
 
 class TestStateDelays:
@@ -130,72 +116,18 @@ class TestStateDelays:
         with pytest.raises(ChannelSaturated):
             state_delays(Dot11pParams(), 1.0)
 
+    @pytest.mark.parametrize("family,index,frozen", FROZEN_DELAYS)
+    def test_frozen_values(self, family, index, frozen):
+        t = state_delays(Dot11pParams(), 0.3)
+        assert getattr(t, family)[index] == pytest.approx(frozen, rel=1e-12)
 
-MC_CASES = [
-    ("sense", 0, 24.857142857142858),
-    ("sense", 7, 90.0),
-    ("busy", 14, 99.72380952380952),
-    ("busy", 1, 112.72380952380952),
-    ("aifs", 1, 109.98876902274283),
-]
-
-
-class TestDelayMonteCarlo:
-    """Cross-check against first-passage sampling on the built chain."""
-
-    @staticmethod
-    def walk(rng, params, start, theta):
-        om, th, cmin = params.omega, params.tx_slots, params.c_min
-        stages = dot11p_stages(cmin)
-        st_ = start
-        t = 0
-        while True:
-            t += 1
-            kind = st_[0]
-            if kind == "tx":
-                if st_[1] == th:
-                    return t
-                st_ = ("tx", st_[1] + 1)
-            elif kind == "sense":
-                s = st_[1]
-                if rng.random() < theta:
-                    st_ = ("delta", s, 1)
-                elif s == 0:
-                    st_ = ("tx", 1)
-                else:
-                    st_ = ("sense", stages[stages.index(s) - 1])
-            elif kind == "delta":
-                s, j = st_[1], st_[2]
-                st_ = ("delta", s, j + 1) if j < th else ("bo", s, 1)
-            elif kind == "bo":
-                s, j = st_[1], st_[2]
-                st_ = ("bo", s, j + 1) if j < om - 1 else ("sense", s)
-            elif kind == "busy":
-                i = st_[1]
-                if i < th:
-                    st_ = ("busy", i + 1)
-                else:
-                    u = int(rng.integers(0, cmin))
-                    st_ = ("bo", 0 if u <= 1 else u, 1)
-            elif kind == "aifs":
-                i = st_[1]
-                if rng.random() < theta:
-                    st_ = ("busy", int(rng.integers(1, th + 1))) if i == 1 else ("busy", 1)
-                elif i == om:
-                    st_ = ("tx", 1)
-                else:
-                    st_ = ("aifs", i + 1)
-
-    @pytest.mark.parametrize("family,index,frozen", MC_CASES)
-    def test_absorption_times(self, family, index, frozen):
-        params = Dot11pParams()
-        theta = 0.3
-        t = state_delays(params, theta)
-        analytic = getattr(t, family)[index]
-        assert analytic == pytest.approx(frozen, rel=1e-12)
-        rng = np.random.default_rng(20240817)
-        start = {"sense": ("sense", index), "busy": ("busy", index),
-                 "aifs": ("aifs", index)}[family]
-        n = 60_000
-        est = sum(self.walk(rng, params, start, theta) for _ in range(n)) / n
-        assert est == pytest.approx(analytic, rel=0.01)
+    @pytest.mark.parametrize("aifsn,c_min,tx_slots,theta", itertools.product(
+        (2, 6, 9), (3, 15, 31), (1, 14), (0.0, 0.3, 0.95)))
+    def test_equal_hitting_times(self, aifsn, c_min, tx_slots, theta):
+        # each state's delay is its mean first-passage time to idle on the chain
+        s = ScenarioConfig(dot11p=Dot11pParams(aifsn=aifsn, c_min=c_min,
+                                               tx_slots=tx_slots)).validate()
+        delays = closed_form_states("dot11p", s, state_delays(s.dot11p, theta))
+        exact = hitting_times(build_chain("dot11p", s, coupling(theta=theta)), "idle")
+        assert set(delays) == set(exact)
+        assert delays == pytest.approx(exact, rel=1e-9)

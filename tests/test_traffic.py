@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coupling, max_abs, scenario
-from v2xmac.chains import build_chain, solve_steady_state
+from conftest import coupling, oracle_gap, scenario
+from v2xmac.chains import closed_form_states
 from v2xmac.config import ScenarioConfig, TrafficParams
 from v2xmac.coupling import solve_coupled
 from v2xmac.errors import (DegenerateQueue, DegenerateTransmitProbability,
@@ -15,23 +15,6 @@ from v2xmac.errors import (DegenerateQueue, DegenerateTransmitProbability,
 from v2xmac.traffic import (combine_transition_probs, per_slot_rate,
                             per_subframe_prob, solve_cam, solve_denm,
                             solve_queue)
-
-
-def cam_oracle(t_c, p_t):
-    m = build_chain("cam", scenario(t_c=t_c), coupling(p_t=p_t))
-    pi = solve_steady_state(m)
-    tx = np.array([pi[f"tx,{j}"] for j in range(t_c)])
-    txp = np.array([pi[f"txp,{j}"] for j in range(t_c)])
-    return tx, txp
-
-
-def denm_oracle(t_d, p_t, k, lam):
-    s = scenario(t_d=t_d, k=k, lam=lam)
-    m = build_chain("denm", s, coupling(p_t=p_t))
-    pi = solve_steady_state(m)
-    tx = np.array([pi[f"tx,{j}"] for j in range(t_d)])
-    txp = np.array([pi[f"txp,{j}"] for j in range(t_d)])
-    return pi["idle"], tx, txp
 
 
 class TestCam:
@@ -42,9 +25,9 @@ class TestCam:
 
     def test_known_point_matches_oracle_value(self):
         # T_C=5 is below the standard range but pins the algebra: 6/31
-        sol = solve_cam(TrafficParams(t_c=100), 0.5)
-        tx, txp = cam_oracle(100, 0.5)
-        assert max_abs(sol.pi_tx, tx) < 1e-12
+        s = scenario(t_c=100)
+        sol = solve_cam(s.traffic, 0.5)
+        assert oracle_gap("cam", s, sol, coupling(p_t=0.5)) < 1e-12
         p = TrafficParams.__new__(TrafficParams)  # bypass range check for T_C=5
         object.__setattr__(p, "t_c", 5)
         sol5 = solve_cam(p, 0.5)
@@ -53,17 +36,17 @@ class TestCam:
     @pytest.mark.parametrize("t_c,p_t", [(100, 0.01), (250, 0.3), (1000, 0.007),
                                          (100, 0.9), (130, 1.0)])
     def test_matches_oracle(self, t_c, p_t):
-        sol = solve_cam(TrafficParams(t_c=t_c), p_t)
-        tx, txp = cam_oracle(t_c, p_t)
-        assert max_abs(sol.pi_tx, tx) < 1e-9
-        assert max_abs(sol.pi_txp, txp) < 1e-9
+        s = scenario(t_c=t_c)
+        sol = solve_cam(s.traffic, p_t)
+        assert oracle_gap("cam", s, sol, coupling(p_t=p_t)) < 1e-9
 
     @given(st.integers(min_value=100, max_value=1000),
            st.floats(min_value=0.005, max_value=1.0))
     @settings(max_examples=40, deadline=None)
     def test_normalization(self, t_c, p_t):
-        sol = solve_cam(TrafficParams(t_c=t_c), p_t)
-        assert abs(sol.total_mass - 1.0) < 1e-10
+        s = scenario(t_c=t_c)
+        sol = solve_cam(s.traffic, p_t)
+        assert abs(sum(closed_form_states("cam", s, sol).values()) - 1.0) < 1e-10
 
     def test_rejects_zero_p_t(self):
         with pytest.raises(DegenerateTransmitProbability):
@@ -102,11 +85,9 @@ class TestDenm:
         (200, 2, 0.2, 0.6), (100, 9, 1.0, 0.004),
     ])
     def test_matches_oracle(self, t_d, k, lam, p_t):
-        sol = solve_denm(TrafficParams(t_d=t_d, k=k, lam=lam), p_t)
-        idle, tx, txp = denm_oracle(t_d, p_t, k, lam)
-        assert abs(sol.pi_idle_denm - idle) < 1e-9
-        assert max_abs(sol.pi_tx, tx) < 1e-9
-        assert max_abs(sol.pi_txp, txp) < 1e-9
+        s = scenario(t_d=t_d, k=k, lam=lam)
+        sol = solve_denm(s.traffic, p_t)
+        assert oracle_gap("denm", s, sol, coupling(p_t=p_t)) < 1e-9
 
     @given(st.integers(min_value=50, max_value=400),
            st.integers(min_value=1, max_value=9),
@@ -114,8 +95,9 @@ class TestDenm:
            st.floats(min_value=0.005, max_value=1.0))
     @settings(max_examples=40, deadline=None)
     def test_normalization(self, t_d, k, lam, p_t):
-        sol = solve_denm(TrafficParams(t_d=t_d, k=k, lam=lam), p_t)
-        assert abs(sol.total_mass - 1.0) < 1e-10
+        s = scenario(t_d=t_d, k=k, lam=lam)
+        sol = solve_denm(s.traffic, p_t)
+        assert abs(sum(closed_form_states("denm", s, sol).values()) - 1.0) < 1e-10
 
 
 class TestGenerationRate:
@@ -184,9 +166,8 @@ class TestQueue:
         # and it matches the matrix solve
         sol = solve_queue(0.3, 0.25, 0.3, 10)
         assert abs(sol.p_qe - 1.0 / (1.0 + 0.25 * 10 / 0.3)) < 1e-12
-        m = build_chain("queue", scenario(m=10), coupling(alpha=0.3, alpha1=0.25, beta=0.3))
-        pi = solve_steady_state(m)
-        assert max_abs(sol.pi, pi.probs) < 1e-10
+        assert oracle_gap("queue", scenario(m=10), sol,
+                          coupling(alpha=0.3, alpha1=0.25, beta=0.3)) < 1e-10
 
     @pytest.mark.parametrize("alpha,alpha1,beta,m_cap", [
         (0.2, 0.3, 0.5, 10), (0.01, 0.02, 0.015, 10), (0.4, 0.1, 0.45, 3),
@@ -194,10 +175,8 @@ class TestQueue:
     ])
     def test_matches_oracle(self, alpha, alpha1, beta, m_cap):
         sol = solve_queue(alpha, alpha1, beta, m_cap)
-        m = build_chain("queue", scenario(m=m_cap),
-                        coupling(alpha=alpha, alpha1=alpha1, beta=beta))
-        pi = solve_steady_state(m)
-        assert max_abs(sol.pi, pi.probs) < 1e-10
+        assert oracle_gap("queue", scenario(m=m_cap), sol,
+                          coupling(alpha=alpha, alpha1=alpha1, beta=beta)) < 1e-10
 
     def test_degenerate_queue(self):
         with pytest.raises(DegenerateQueue):
