@@ -30,7 +30,7 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .config import ScenarioConfig
 from .cv2x import Cv2xSolution
-from .dot11p import DelayTable, Dot11pSolution, dot11p_stages
+from .dot11p import DelayTable, Dot11pSolution, check_omega, dot11p_stages
 from .errors import NoConvergence, NonStochasticMatrix, UnknownChainKind
 from .traffic import GeneratorSolution, QueueSolution
 
@@ -347,6 +347,7 @@ def _build_dot11p(m, at, params: ScenarioConfig, c: CouplingInputs):
     idle slots, skipping the absent stage 1.
     """
     p = params.dot11p
+    check_omega(p)
     cmin, om, th = p.c_min, p.omega, p.tx_slots
     theta = c.theta
     h = 1.0 - c.p_qe * (1.0 - c.p_arr)
@@ -366,12 +367,11 @@ def _build_dot11p(m, at, params: ScenarioConfig, c: CouplingInputs):
         m[at["b", i], at["b", i + 1]] = 1.0
     for s in stages:
         weight = 2.0 / cmin if s == 0 else 1.0 / cmin
-        entry = at["bo", (s, 1)] if om > 1 else at["sense", s]
+        entry = at["bo", (s, 1)]
         m[at["b", th], entry] += weight
         for j in range(1, om - 1):
             m[at["bo", (s, j)], at["bo", (s, j + 1)]] = 1.0
-        if om > 1:
-            m[at["bo", (s, om - 1)], at["sense", s]] = 1.0
+        m[at["bo", (s, om - 1)], at["sense", s]] = 1.0
         m[at["sense", s], at["delta", (s, 1)]] = theta
         for j in range(1, th):
             m[at["delta", (s, j)], at["delta", (s, j + 1)]] = 1.0

@@ -8,8 +8,20 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .config import Dot11pParams
-from .errors import ChannelSaturated
+from .errors import ChannelSaturated, ModelValidityError
 from .lazy import Lazy, closed_form, form_field
+
+
+def check_omega(params: Dot11pParams):
+    """Reject an AIFS shorter than 2 slots, outside the chain's domain.
+
+    Every backoff stage re-enters through its AIFS rows (s, A_1) ..
+    (s, A_{Omega-1}), and the delay of A_1 runs through A_2.
+    `Dot11pParams.validate` enforces the same bound.
+    """
+    if params.omega < 2:
+        raise ModelValidityError(f"Omega = {params.omega}; the 802.11p chain needs "
+                                 "an AIFS of at least 2 slots")
 
 
 def dot11p_stages(c_min: int):
@@ -109,6 +121,7 @@ def solve_dot11p(params: Dot11pParams, p_qe: float, p_arr: float,
     """
     if not 0.0 <= theta < 1.0:
         raise ChannelSaturated(f"theta = {theta!r}; the closed form needs theta < 1")
+    check_omega(params)
     cmin, om, th = params.c_min, params.omega, params.tx_slots
     h = 1.0 - p_qe * (1.0 - p_arr)
     one_m = 1.0 - theta
@@ -160,6 +173,7 @@ def state_delays(params: Dot11pParams, theta: float) -> DelayTable:
     """Per-state delay recurrences of the 802.11p chain, solved exactly."""
     if not 0.0 <= theta < 1.0:
         raise ChannelSaturated(f"theta = {theta!r}; delays diverge at theta = 1")
+    check_omega(params)
     cmin, om, th = params.c_min, params.omega, params.tx_slots
     stages = dot11p_stages(cmin)
     one_m = 1.0 - theta

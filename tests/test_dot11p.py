@@ -10,7 +10,7 @@ from conftest import coupling, oracle_gap, scenario
 from v2xmac.chains import build_chain, closed_form_states, hitting_times
 from v2xmac.config import Dot11pParams, ScenarioConfig
 from v2xmac.dot11p import solve_dot11p, state_delays, update_theta
-from v2xmac.errors import ChannelSaturated
+from v2xmac.errors import ChannelSaturated, ModelValidityError
 
 
 class TestClosedForm:
@@ -131,3 +131,22 @@ class TestStateDelays:
         exact = hitting_times(build_chain("dot11p", s, coupling(theta=theta)), "idle")
         assert set(delays) == set(exact)
         assert delays == pytest.approx(exact, rel=1e-9)
+
+
+class TestOmegaBelowTwo:
+    """Omega = 1 lies outside the chain's domain; every entry point says so."""
+
+    PARAMS = Dot11pParams(aifsn=1, sifs_us=0.0)   # unvalidated, Omega = 1
+
+    def test_state_delays_rejects(self):
+        with pytest.raises(ModelValidityError, match="Omega = 1"):
+            state_delays(self.PARAMS, 0.3)
+
+    def test_solve_dot11p_rejects(self):
+        with pytest.raises(ModelValidityError, match="Omega = 1"):
+            solve_dot11p(self.PARAMS, 0.5, 0.1, 0.3)
+
+    def test_build_chain_rejects(self):
+        s = ScenarioConfig(tech="dot11p", n=10, dot11p=self.PARAMS)
+        with pytest.raises(ModelValidityError, match="Omega = 1"):
+            build_chain("dot11p", s, coupling(theta=0.3))
