@@ -1,8 +1,10 @@
 """Analytical and simulation toolkit for the MAC layers of C-V2X Mode 4 and 802.11p.
 
 The explicit-chain oracle (`build_chain`, `solve_steady_state`) lives in
-`v2xmac.chains` and is not imported here, so that the closed forms and the
-CLI load without scipy.
+`v2xmac.chains` and the simulator in `v2xmac.sim`; neither is imported here.
+The package root, the closed forms, the metrics and `v2xmac solve` load
+neither numpy nor scipy: they read O(1) scalars. A solution's state arrays
+are numpy arrays, and numpy is imported when one is first read.
 """
 
 from .config import (Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams,

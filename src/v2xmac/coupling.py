@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Tuple, Union
 from .config import Dot11pParams, ScenarioConfig
 from .cv2x import Cv2xSolution, solve_cv2x
 from .dot11p import Dot11pSolution, solve_dot11p, update_theta
-from .errors import NoFixedPoint
+from .errors import InvalidArgument, NoFixedPoint
 from .traffic import (SUBFRAME_US, GeneratorSolution, QueueSolution,
                       combine_transition_probs, per_slot_rate, per_subframe_prob,
                       solve_cam, solve_denm, solve_queue)
@@ -236,7 +236,7 @@ def solve_coupled(tech: str, scenario: ScenarioConfig,
     keeps one sign to the end of the range or the budget runs out.
     """
     if tech not in ("cv2x", "dot11p"):
-        raise ValueError(f"unknown technology {tech!r}")
+        raise InvalidArgument(f"unknown technology {tech!r}")
     low, high = _search_range(tech, scenario)
     trace: List[Tuple[float, float]] = []
 
@@ -276,7 +276,7 @@ def adaptive_cam_rate(theta: float, base_t_c: int) -> int:
     the base interval is kept.
     """
     if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta = {theta!r} outside [0, 1]")
+        raise InvalidArgument(f"theta = {theta!r} outside [0, 1]")
     load = min(max((theta - 0.3) / 0.6, 0.0), 1.0)
     t_c = int(round(base_t_c * (1.0 + 4.0 * load)))
     return min(max(t_c, 100), 1000)

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .config import Cv2xParams
 from .errors import InvalidMass, SaturatedQueue
 from .lazy import Lazy, closed_form, form_field
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASS_TOL = 1e-8
 
@@ -25,22 +26,31 @@ class _Cv2xForm:
 
 
 def _pi_w(form: _Cv2xForm) -> np.ndarray:
+    import numpy as np
     g, p_rk, p_sch = form.params.gamma, form.params.p_rk, form.params.p_sch
     shape = (g - 1.0 - np.arange(g - 1)) / (g - 1.0)
     return form.w0 * (form.a * form.b * shape + shape * (1.0 - p_rk) * p_sch + p_rk)
 
 
+def _rc_first(form: _Cv2xForm, i: int) -> float:
+    """pi_(i,0): w0 / p_qne below R_l, w0 n_i / (p_qne w_cnt) from R_l on."""
+    rl, rh = form.params.r_low, form.params.r_high
+    if i < rl:
+        return form.w0 / form.p_qne
+    return form.w0 * (rh - i + 1) / (form.p_qne * (1 + rh - rl))
+
+
 def _pi_rc(form: _Cv2xForm) -> np.ndarray:
+    import numpy as np
     g, rl, rh = form.params.gamma, form.params.r_low, form.params.r_high
     w_cnt, w0, p_qne = 1 + rh - rl, form.w0, form.p_qne
     pi_rc = np.zeros((rh + 1, g))
     for i in range(1, rh + 1):
+        pi_rc[i, 0] = _rc_first(form, i)
         if i >= rl:
-            n_i = rh - i + 1
-            pi_rc[i, 0] = w0 * n_i / (p_qne * w_cnt)
-            pi_rc[i, 1:] = w0 * n_i / (p_qne ** 2 * w_cnt)
+            pi_rc[i, 1:] = w0 * (rh - i + 1) / (p_qne ** 2 * w_cnt)
         else:
-            pi_rc[i, :] = w0 / p_qne
+            pi_rc[i, 1:] = w0 / p_qne
     return pi_rc
 
 
@@ -63,7 +73,8 @@ class Cv2xSolution:
 
     @property
     def pi_10(self) -> float:
-        return float(self.pi_rc[1, 0])
+        """pi_(1,0), the RC = 1 opportunity state."""
+        return _rc_first(self._form, 1) if self._form else float(self.pi_rc[1, 0])
 
 
 def solve_cv2x(params: Cv2xParams, p_qe: float, p_qne: float, p_arr: float) -> Cv2xSolution:

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .config import Dot11pParams
-from .errors import ChannelSaturated, ModelValidityError
+from .errors import ChannelSaturated, InvalidArgument, ModelValidityError
 from .lazy import Lazy, closed_form, form_field
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def check_omega(params: Dot11pParams):
@@ -41,20 +42,25 @@ class _Dot11pForm:
 
 
 def _pi_a(form: _Dot11pForm) -> np.ndarray:
+    import numpy as np
     return form.h * (1.0 - form.theta) ** np.arange(form.params.omega) * form.pi_idle
 
 
 def _pi_b(form: _Dot11pForm) -> np.ndarray:
+    import numpy as np
     th, om, theta = form.params.tx_slots, form.params.omega, form.theta
     i_b = np.arange(1, th + 1)
     return form.h * (theta / th * i_b - (1.0 - theta) ** om - theta + 1.0) * form.pi_idle
 
 
+def _stage_scale(form: _Dot11pForm) -> float:
+    return form.f / (form.params.c_min * (1.0 - form.theta)) * form.pi_idle
+
+
 def _stage_family(weight):
     """A stage-keyed family f weight(s, C_min, theta) / (C_min (1 - theta)) pi_Idle."""
     def build(form: _Dot11pForm) -> Dict[int, float]:
-        cmin, theta = form.params.c_min, form.theta
-        scale = form.f / (cmin * (1.0 - theta)) * form.pi_idle
+        cmin, theta, scale = form.params.c_min, form.theta, _stage_scale(form)
         return {s: weight(s, cmin, theta) * scale for s in dot11p_stages(cmin)}
     return build
 
@@ -74,6 +80,7 @@ def _backoff_aifs_weight(s, cmin, theta):
 
 
 def _pi_tx(form: _Dot11pForm) -> np.ndarray:
+    import numpy as np
     return np.full(form.params.tx_slots, form.h * form.pi_idle)
 
 
@@ -97,6 +104,30 @@ class Dot11pSolution:
     pi_backoff_aifs: Dict[int, float] = Lazy(_stage_family(_backoff_aifs_weight))  # (s, A_j)
     pi_tx: np.ndarray = Lazy(_pi_tx)            # (Tx, 1..tx_slots)
     _form: Optional[_Dot11pForm] = form_field()
+
+    @property
+    def a_last(self) -> float:
+        """pi_{A_Omega}: h (1 - theta)^(Omega - 1) pi_Idle."""
+        form = self._form
+        if form is None:
+            return float(self.pi_a[-1])
+        return form.h * (1.0 - form.theta) ** (form.params.omega - 1) * form.pi_idle
+
+    @property
+    def tx_total(self) -> float:
+        """The sum of pi_Tx over its tx_slots states: tx_slots h pi_Idle."""
+        form = self._form
+        if form is None:
+            return float(self.pi_tx.sum())
+        return form.params.tx_slots * form.h * form.pi_idle
+
+    @property
+    def sense_first(self) -> float:
+        """pi_{I,0}: f C_min / (C_min (1 - theta)) pi_Idle."""
+        form = self._form
+        if form is None:
+            return float(self.pi_sense[0])
+        return _sense_weight(0, form.params.c_min, form.theta) * _stage_scale(form)
 
 
 def _line_sum(theta: float, n: int) -> float:
@@ -148,9 +179,9 @@ def solve_dot11p(params: Dot11pParams, p_qe: float, p_arr: float,
 def update_theta(p_t: float, n: int) -> float:
     """Channel busy ratio seen by one vehicle among n: 1 - (1 - P_t)^(n-1)."""
     if not 0.0 <= p_t <= 1.0:
-        raise ValueError(f"P_t = {p_t!r} outside [0, 1]")
+        raise InvalidArgument(f"P_t = {p_t!r} outside [0, 1]")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidArgument("n must be >= 1")
     return 1.0 - (1.0 - p_t) ** (n - 1)
 
 
@@ -169,23 +200,21 @@ class DelayTable:
     aifs: Dict[int, float]                  # D_{A_i}
 
 
-def state_delays(params: Dot11pParams, theta: float) -> DelayTable:
-    """Per-state delay recurrences of the 802.11p chain, solved exactly."""
+def delay_recurrences(params: Dot11pParams, theta: float):
+    """(D_{I,s} by stage s, D_{B,i} by i, D_{A_i} by i): the coupled delay recurrences.
+
+    The delays of the backoff, Delta and Tx rows follow from these in closed
+    form (`state_delays`); the mean delay D_{A_1} needs only these.
+    """
     if not 0.0 <= theta < 1.0:
         raise ChannelSaturated(f"theta = {theta!r}; delays diverge at theta = 1")
     check_omega(params)
     cmin, om, th = params.c_min, params.omega, params.tx_slots
-    stages = dot11p_stages(cmin)
     one_m = 1.0 - theta
 
     d_sense = {0: (1.0 + th + theta * (om - 1)) / one_m}
     for i in range(2, cmin):
         d_sense[i] = (i + th * (1.0 + theta * (i - 1)) + i * theta * (om - 1)) / one_m
-
-    d_backoff_aifs = {(s, j): (om - j) + d_sense[s]
-                      for s in stages for j in range(1, om)}
-    d_delta = {(s, j): (th - j + 1) + (om - 1) + d_sense[s]
-               for s in stages for j in range(1, th + 1)}
 
     # stage draw at (B, tx_slots): weight 2/C for stage 0, 1/C for others
     d_busy = {th: 1.0 + (2.0 / cmin) * ((om - 1) + d_sense[0])
@@ -194,13 +223,24 @@ def state_delays(params: Dot11pParams, theta: float) -> DelayTable:
     for i in range(th - 1, 0, -1):
         d_busy[i] = 1.0 + d_busy[i + 1]
 
-    d_tx = {i: float(th - (i - 1)) for i in range(1, th + 1)}
-
-    d_aifs = {om: 1.0 + one_m * d_tx[1] + theta * d_busy[1]}
+    # D_{Tx,1} = tx_slots
+    d_aifs = {om: 1.0 + one_m * float(th) + theta * d_busy[1]}
     for i in range(om - 1, 1, -1):
         d_aifs[i] = 1.0 + one_m * d_aifs[i + 1] + theta * d_busy[1]
     mean_busy = sum(d_busy[j] for j in range(1, th + 1)) / th
     d_aifs[1] = 1.0 + one_m * d_aifs[2] + theta * mean_busy
+    return d_sense, d_busy, d_aifs
 
+
+def state_delays(params: Dot11pParams, theta: float) -> DelayTable:
+    """Per-state delay recurrences of the 802.11p chain, solved exactly."""
+    d_sense, d_busy, d_aifs = delay_recurrences(params, theta)
+    om, th = params.omega, params.tx_slots
+    stages = dot11p_stages(params.c_min)
+    d_backoff_aifs = {(s, j): (om - j) + d_sense[s]
+                      for s in stages for j in range(1, om)}
+    d_delta = {(s, j): (th - j + 1) + (om - 1) + d_sense[s]
+               for s in stages for j in range(1, th + 1)}
+    d_tx = {i: float(th - (i - 1)) for i in range(1, th + 1)}
     return DelayTable(sense=d_sense, backoff_aifs=d_backoff_aifs, delta=d_delta,
                       busy=d_busy, tx=d_tx, aifs=d_aifs)

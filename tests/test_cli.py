@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -203,12 +204,33 @@ class TestRecipes:
         assert main(["recipes", "fig99"]) == 2
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is the oracle's dependency only and the simulator is loaded by
-    # simulate and compare alone; the CLI must pay neither import
-    code = ("import sys, v2xmac.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy' or m.startswith('v2xmac.sim')))")
+HEAVY_MODULES = ("sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy') "
+                 "or m.startswith('v2xmac.sim'))")
+
+
+def fresh_interpreter(code):
+    """stdout of `code` run in a new interpreter that imports this v2xmac."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is the oracle's dependency only, numpy that of the state arrays and
+    # the simulator, which simulate and compare alone load; the CLI pays none
+    assert fresh_interpreter(f"import sys, v2xmac.cli; print({HEAVY_MODULES})").strip() == "[]"
+
+
+def test_solving_every_recipe_loads_no_numpy(tmp_path):
+    # the closed forms and metrics read scalars; no state array is built
+    code = textwrap.dedent(f"""
+        import sys
+        from v2xmac.cli import RECIPE_DIR, main, recipe_names
+        for name in recipe_names():
+            out = {str(tmp_path)!r} + '/' + name + '.csv'
+            if main(['solve', '--config', str(RECIPE_DIR / (name + '.cfg')), '--out', out]):
+                raise SystemExit(name)
+        print({HEAVY_MODULES})
+    """)
+    assert fresh_interpreter(code).strip() == "[]"
+    assert sorted(p.stem for p in tmp_path.glob("*.csv")) == recipe_names()

@@ -1,4 +1,4 @@
-"""The O(1) scalars the fixed point reads against the state arrays built on demand.
+"""The O(1) scalars the fixed point and the metrics read against the state arrays built on demand.
 
 Each solver returns its scalars from family sums in closed form and builds
 its state arrays only when they are read. These properties check that the
@@ -6,6 +6,7 @@ two agree, and that the validity errors fire on the same inputs as the
 array-based checks they replace.
 """
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,10 +16,12 @@ from hypothesis import strategies as st
 
 from v2xmac.chains import closed_form_states
 from v2xmac.config import Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams
+from v2xmac.coupling import solve_coupled
 from v2xmac.cv2x import solve_cv2x
-from v2xmac.dot11p import solve_dot11p
+from v2xmac.dot11p import delay_recurrences, solve_dot11p, state_delays
 from v2xmac.errors import (ChannelSaturated, DegenerateTransmitProbability,
                            InvalidMass, SaturatedQueue)
+from v2xmac.metrics import avg_delay_dot11p, evaluate_fixed_point
 from v2xmac.traffic import solve_cam, solve_denm, solve_queue
 
 REL = 1e-12
@@ -66,6 +69,30 @@ def test_explicit_arrays_win_over_the_closed_form():
     assert np.array_equal(changed.pi_txp, sol.pi_txp)
 
 
+def test_explicit_arrays_feed_the_metric_scalars():
+    # a copy made by dataclasses.replace holds arrays and no closed form
+    cv = solve_cv2x(Cv2xParams(), 0.4, 0.6, 0.2)
+    rc = cv.pi_rc.copy()
+    rc[1, 0] *= 2.0
+    cv_changed = dataclasses.replace(cv, pi_rc=rc)
+    assert cv_changed._form is None and cv_changed.pi_10 == rc[1, 0]
+
+    mac = solve_dot11p(Dot11pParams(), 0.5, 0.2, 0.3)
+    pi_a, pi_tx, sense = mac.pi_a * 2.0, mac.pi_tx * 3.0, dict(mac.pi_sense)
+    sense[0] *= 4.0
+    mac_changed = dataclasses.replace(mac, pi_a=pi_a, pi_tx=pi_tx, pi_sense=sense)
+    assert mac_changed._form is None
+    assert mac_changed.a_last == pi_a[-1]
+    assert mac_changed.tx_total == pi_tx.sum()
+    assert mac_changed.sense_first == sense[0]
+
+    queue = solve_queue(0.1, 0.2, 0.3, 10)
+    pi = queue.pi[::-1].copy()
+    q_changed = dataclasses.replace(queue, pi=pi)
+    assert q_changed._form is None
+    assert _close(q_changed.delay_sum, sum((2 * i - 1) * pi[i] for i in range(1, 11)))
+
+
 # ------------------------------------------------------------------- queue
 @given(alpha=probability, alpha1=probability, beta=st.floats(1e-6, 1.0),
        m_cap=st.integers(1, 50))
@@ -74,6 +101,8 @@ def test_queue_p_qe_matches_array(alpha, alpha1, beta, m_cap):
     q = solve_queue(alpha, alpha1, beta, m_cap)
     assume(math.isfinite(q.pi.sum()))
     assert _close(q.p_qe, float(q.pi[0]))
+    weights = 2.0 * np.arange(1, m_cap + 1) - 1.0
+    assert _close(q.delay_sum, float((weights * q.pi[1:]).sum()))
 
 
 def test_queue_p_qe_near_alpha_equal_beta():
@@ -96,6 +125,24 @@ def test_dot11p_scalars_match_arrays(theta, p_qe, p_arr, c_min, aifsn, tx_slots)
     mass = sum(closed_form_states("dot11p", s, sol).values())
     assert _close(sol.pi_idle, sol.pi_idle / mass)
     assert _close(sol.p_t, float(sol.pi_tx.sum()))
+    assert _close(sol.a_last, float(sol.pi_a[-1]))
+    assert _close(sol.tx_total, float(sol.pi_tx.sum()))
+    assert _close(sol.sense_first, sol.pi_sense[0])
+
+
+@pytest.mark.parametrize("aifsn, c_min", itertools.product((2, 6, 9), (3, 15, 63)))
+def test_delay_recurrences_give_the_tables_a1_delay(aifsn, c_min):
+    params = Dot11pParams(aifsn=aifsn, c_min=c_min)
+    for theta in (0.0, 1e-12, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+        assert delay_recurrences(params, theta)[2][1] == state_delays(params, theta).aifs[1]
+
+
+@pytest.mark.parametrize("n", [10, 300, 1600])
+def test_metrics_delay_is_the_tables_a1_delay(n):
+    s = ScenarioConfig(n=n)
+    rep = solve_coupled("dot11p", s)
+    d_slots = avg_delay_dot11p(state_delays(s.dot11p, rep.dot11p.theta))
+    assert evaluate_fixed_point(rep, s).d_avg_ms == d_slots * s.dot11p.slot_us / 1000.0
 
 
 @given(theta=st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, 1.0 - 1e-16]))
@@ -145,6 +192,7 @@ def test_cv2x_p_txo_matches_array(gamma, r_low, width, p_rk, p_sch, p_qne, p_arr
                                        p_rk=p_rk, p_sch=p_sch))
     sol = solve_cv2x(s.cv2x, 1.0 - p_qne, p_qne, p_arr)
     assert _close(sol.p_txo, float(sol.pi_rc[1:, 0].sum()))
+    assert _close(sol.pi_10, float(sol.pi_rc[1, 0]))
     assert sol.p_t == sol.p_txo * p_qne
     assert abs(sum(closed_form_states("cv2x", s, sol).values()) - 1.0) < 1e-10
 

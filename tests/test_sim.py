@@ -7,12 +7,17 @@ import pytest
 
 import v2xmac
 from conftest import scenario
-from v2xmac.config import ScenarioConfig, TrafficParams
-from v2xmac.errors import InvalidDuration
+from v2xmac.config import Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams
+from v2xmac.coupling import adaptive_cam_rate, solve_coupled
+from v2xmac.cv2x import solve_cv2x
+from v2xmac.dot11p import solve_dot11p, update_theta
+from v2xmac.errors import InvalidArgument, InvalidDuration
+from v2xmac.metrics import avg_delay_cv2x, collision_prob_cv2x, collision_prob_dot11p
 from v2xmac.sim import run_sim
 from v2xmac.sim.cv2x import run_replication as cv2x_rep
 from v2xmac.sim.dot11p import run_replication as dot11p_rep
 from v2xmac.sim.traffic import CAM, DENM, arrival_stream
+from v2xmac.traffic import solve_queue
 
 
 class TestTrafficStream:
@@ -194,9 +199,40 @@ class TestCv2xContracts:
         assert 2.0 * 0.7 <= ratio <= 2.0 * 1.3
 
 
+def _package_nodes(match):
+    """file:line of every node in the package's sources that `match` accepts."""
+    root = Path(v2xmac.__file__).parent
+    return [f"{path.relative_to(root)}:{node.lineno}" for path in sorted(root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text())) if match(node)]
+
+
 def test_package_has_no_assert_statements():
     # python -O strips assert, so an invariant must raise a typed V2xMacError
-    root = Path(v2xmac.__file__).parent
-    found = [f"{path.relative_to(root)}:{node.lineno}" for path in sorted(root.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
-    assert found == []
+    assert _package_nodes(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def _raises_bare_value_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "ValueError"
+
+
+def test_package_raises_no_bare_value_error():
+    # errors.InvalidArgument is a ValueError and a V2xMacError at once
+    assert _package_nodes(_raises_bare_value_error) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: collision_prob_cv2x(solve_cv2x(Cv2xParams(), 0.4, 0.6, 0.2), Cv2xParams(), 0),
+    lambda: collision_prob_dot11p(solve_dot11p(Dot11pParams(), 0.5, 0.2, 0.1), 0),
+    lambda: avg_delay_cv2x(solve_queue(0.1, 0.1, 0.3, 10), 0.0),
+    lambda: update_theta(1.5, 10),
+    lambda: update_theta(0.1, 0),
+    lambda: solve_coupled("wimax", scenario()),
+    lambda: adaptive_cam_rate(1.5, 100),
+    lambda: run_sim("wimax", scenario(), seed=1, duration_s=10.0, replications=1),
+])
+def test_invalid_arguments_raise_typed_error(call):
+    with pytest.raises(InvalidArgument):
+        call()
