@@ -1,6 +1,7 @@
 """Simulation front end: replication dispatch, merging and tracing."""
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from typing import Callable, Optional
@@ -29,10 +30,13 @@ def run_sim(tech: str, scenario: ScenarioConfig, seed: int, duration_s: float,
     """
     if tech not in ("cv2x", "dot11p"):
         raise InvalidArgument(f"unknown technology {tech!r}")
-    if duration_s < MIN_DURATION_S:
-        raise InvalidDuration(f"duration must be >= {MIN_DURATION_S} s")
+    if not (math.isfinite(duration_s) and duration_s >= MIN_DURATION_S):
+        raise InvalidDuration(f"duration must be finite and >= {MIN_DURATION_S} s, "
+                              f"not {duration_s}")
     if replications < 1:
         raise InvalidDuration("need at least one replication")
+    if jobs < 1:
+        raise InvalidArgument(f"jobs must be >= 1, not {jobs}")
     scenario.validate()
 
     runner = _cv2x.run_replication if tech == "cv2x" else _dot11p.run_replication

@@ -9,21 +9,42 @@ the per-stage AIFS wait does not re-sense the channel, matching the
 analytical chain. All concurrent transmissions start on the same slot, so a
 collision is a start-slot burst of two or more vehicles.
 
-Idle slots cost no events. Only the first slot of an AIFS line or a backoff
-countdown is an event. If that slot is idle, the countdown is set aside as
-(kind, first slot, stage) with no further event. This is exact because only
-a burst start changes what a sensing vehicle sees: a channel idle at the
-first slot stays idle until the next burst starts. So the next burst starts
-one slot after the earliest countdown ends, and at that slot every other
-running countdown is interrupted, on the slot where a slot-by-slot walk
-would first have sensed it busy; after k idle slots a backoff at stage s
-resumes at s - k (0 once that falls below 2). Each vehicle draws its
-backoff stages from its own stream and has one countdown at a time, so
-drawing a stage when its AIFS line is interrupted, not when the busy wait
-ends, changes no draw.
+Idle slots cost no events, and neither do backoff countdowns or the ends
+of transmissions. Only a burst start changes what a sensing vehicle sees,
+so each countdown is kept as the slot on which it would transmit, and the
+next burst starts on the earliest of them. The events left are arrivals,
+merged from one pre-sorted list, the first slots of AIFS lines, on a heap,
+and burst starts.
 
-Within a slot a burst start comes first, then MAC events from the heap in
-vehicle order, then arrivals, which are merged from one pre-sorted list.
+An AIFS line starts one slot after its packet's arrival, or one idle-state
+slot after the vehicle's own transmission ends; an arrival during that
+transmission waits for it. If the line's first slot is idle, it ends Omega slots later unless a burst starts first. An AIFS line
+that a burst interrupts, or whose first slot is busy, draws u from
+U{0..C_min-1} and backs off: it waits out the burst, waits Omega slots,
+then senses at stage s = u (0 for u <= 1), s slots (s, s-1, ..., 2, then
+0) or one slot at stage 0, and transmits max(u, 1) slots after the wait.
+
+Every burst that starts before a backoff transmits moves that transmission
+by exactly tx_slots + Omega:
+- a countdown at stage s interrupted after k idle slots (1 <= k < s) waits
+  tx_slots + Omega and resumes at stage s - k, so it ends tx_slots + Omega
+  after its old end. For s - k = 1 the clamp sends it to stage 0, which
+  also senses one slot and so ends on the same slot;
+- a stage-0 countdown transmits on the slot after the one it senses, so no
+  burst starts in between: it is only ever started, never interrupted;
+- a countdown whose first slot is busy waits tx_slots + Omega and starts
+  again at the same stage.
+A delayed countdown senses again tx_slots + Omega after the busy slot it
+met, and bursts start at least tx_slots + Omega apart, so the next burst
+meets it before that burst ends: each burst meets every pending backoff
+exactly once. The backoffs therefore sit in one heap keyed by (transmission
+slot - shift, vid), and each burst raises the shared shift by
+tx_slots + Omega. Each vehicle draws its stages from its own stream,
+STAGE_BATCH at a time, and has one countdown at a time, so when a draw
+happens changes no value.
+
+Within a slot a burst start comes first, then the first slots of AIFS
+lines in vehicle order, then arrivals.
 """
 from __future__ import annotations
 
@@ -37,19 +58,22 @@ from ..errors import SimulatorInvariant
 from .report import WARMUP_S, ReplicationStats
 from .traffic import CAM, arrival_stream
 
-# MAC events: (slot, vid, kind, stage); a vehicle has at most one pending
-EV_SENSE_AIFS = 0     # first slot of an AIFS line
-EV_SENSE_BO = 1       # first slot of a backoff countdown at `stage`
-EV_TXEND = 2
+STAGE_BATCH = 64      # backoff draws taken from a vehicle's stream at a time
+
+
+def _backoff_delays(rng, c_min):
+    """Slots from each backoff's wait to its transmission: max(u, 1), u ~ U{0..C_min-1}."""
+    while True:
+        yield from np.maximum(rng.integers(0, c_min, size=STAGE_BATCH), 1).tolist()
 
 
 class _Vehicle:
-    __slots__ = ("vid", "queue", "busy_mac", "generated", "dropped", "transmitted")
+    __slots__ = ("vid", "queue", "free_at", "generated", "dropped", "transmitted")
 
     def __init__(self, vid):
         self.vid = vid
-        self.queue = deque()
-        self.busy_mac = False
+        self.queue = deque()      # its head is in the MAC
+        self.free_at = 0          # first slot after its last transmission
         self.generated = 0
         self.dropped = 0
         self.transmitted = 0
@@ -64,7 +88,7 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
     warmup = min(int(round(WARMUP_S * 1e6 / slot_us)), duration_slots // 4)
 
     vehicles = []
-    mac_rngs = []
+    delays = []               # per vehicle, its backoff delays in draw order
     arrivals = []             # (slot, vid, kind), sorted; a sentinel ends it
     for vid in range(scenario.n):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication, vid))
@@ -72,22 +96,19 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
         arrivals.extend((int(t_us // slot_us), vid, kind) for t_us, kind in
                         arrival_stream(traffic_rng, scenario.traffic, int(duration_s * 1e6)))
         vehicles.append(_Vehicle(vid))
-        mac_rngs.append(mac_rng)
+        delays.append(_backoff_delays(mac_rng, cmin))
     arrivals.sort()
     arrivals.append((duration_slots, -1, CAM))
 
     stats = ReplicationStats()
-    heap = []
-    counting = {}             # vid -> (kind, first slot, stage) of an idle countdown
-    next_start = duration_slots   # slot after the earliest countdown ends
-    starters = []             # the vehicles whose countdown ends just before it
+    heap = []                 # (first slot, vid) of AIFS lines
+    aifs = deque()            # (end slot, vid) of AIFS lines sensing idle, in order
+    backoff = []              # heap of (transmission slot - shift, vid)
+    shift = 0                 # slots by which the bursts so far delayed every backoff
+    slide = th + om           # the delay one burst adds to each pending backoff
     busy_until = 0            # first slot at which the channel is free again
     burst_start = -1
     burst = []                # (vid, gen_slot) transmissions starting together
-
-    def draw_stage(rng):
-        u = int(rng.integers(0, cmin))
-        return 0 if u <= 1 else u
 
     def finish_burst():
         nonlocal burst
@@ -117,11 +138,19 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
     while True:
         a_slot = arrivals[ai][0]
         h_slot = heap[0][0] if heap else duration_slots
+        slot = aifs[0][0] if aifs else duration_slots
+        if backoff and backoff[0][0] + shift < slot:
+            slot = backoff[0][0] + shift
 
-        if next_start <= h_slot and next_start <= a_slot:
-            slot = next_start
+        if slot <= h_slot and slot <= a_slot:
             if slot >= duration_slots:
                 break
+            starters = []
+            while aifs and aifs[0][0] == slot:
+                starters.append(aifs.popleft()[1])
+            key = slot - shift
+            while backoff and backoff[0][0] == key:
+                starters.append(heapq.heappop(backoff)[1])
             starters.sort()
             # the sensing rules make concurrent transmissions share a start
             # slot: nobody starts while an earlier burst is still on the air
@@ -131,54 +160,31 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
             finish_burst()
             burst_start = slot
             busy_until = slot + th
+            # every AIFS line still sensing is interrupted and backs off from
+            # slot + slide; every pending backoff moves by slide
+            for _, vid in aifs:
+                heapq.heappush(backoff, (key + next(delays[vid]), vid))
+            aifs.clear()
+            shift += slide
             for vid in starters:
                 v = vehicles[vid]
                 v.transmitted += 1
                 burst.append((vid, v.queue.popleft()))
-                heapq.heappush(heap, (slot + th, vid, EV_TXEND, 0))
-                del counting[vid]
-            starters = []
-            # every other countdown senses this slot busy: wait th, re-AIFS
-            for vid, (kind, first, stage) in counting.items():
-                if kind == EV_SENSE_AIFS:
-                    stage = draw_stage(mac_rngs[vid])
-                else:
-                    stage -= slot - first
-                    if stage < 2:
-                        stage = 0
-                heapq.heappush(heap, (slot + th + om, vid, EV_SENSE_BO, stage))
-            counting.clear()
-            next_start = duration_slots
+                # one idle-state slot after the transmission, then the next packet
+                v.free_at = busy_until
+                if v.queue:
+                    heapq.heappush(heap, (busy_until + 1, vid))
             continue
 
         if h_slot <= a_slot:
             if h_slot >= duration_slots:
                 break
-            slot, vid, kind, stage = heapq.heappop(heap)
-            if kind == EV_TXEND:
-                # one idle-state slot after transmission, then the next packet
-                if vehicles[vid].queue:
-                    heapq.heappush(heap, (slot + 1, vid, EV_SENSE_AIFS, 0))
-                else:
-                    vehicles[vid].busy_mac = False
-            elif slot < busy_until:
-                if kind == EV_SENSE_AIFS:
-                    # the AIFS line found the channel busy: wait out the residue
-                    heapq.heappush(heap, (busy_until + om, vid, EV_SENSE_BO,
-                                          draw_stage(mac_rngs[vid])))
-                else:
-                    # fixed tx-length wait, then re-AIFS at the same stage
-                    heapq.heappush(heap, (slot + th + om, vid, EV_SENSE_BO, stage))
+            slot, vid = heapq.heappop(heap)
+            if slot < busy_until:
+                # the AIFS line found the channel busy: wait out the residue
+                heapq.heappush(backoff, (busy_until + om + next(delays[vid]) - shift, vid))
             else:
-                # AIFS senses om slots, stage s >= 2 senses s (s, s-1, ..., 2,
-                # then 0) and stage 0 one; the transmission starts right after
-                counting[vid] = (kind, slot, stage)
-                tx_at = slot + (om if kind == EV_SENSE_AIFS else stage or 1)
-                if tx_at < next_start:
-                    next_start = tx_at
-                    starters = [vid]
-                elif tx_at == next_start:
-                    starters.append(vid)
+                aifs.append((slot + om, vid))
             continue
 
         if a_slot >= duration_slots:
@@ -193,9 +199,9 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
             v.queue.append(slot)
             if trace is not None:
                 trace(int(slot * slot_us), vid, "enqueue", str(len(v.queue)))
-            if not v.busy_mac:
-                v.busy_mac = True
-                heapq.heappush(heap, (slot + 1, vid, EV_SENSE_AIFS, 0))
+            if len(v.queue) == 1:
+                # the MAC was idle; the vehicle's own transmission may still be on
+                heapq.heappush(heap, (max(slot, v.free_at) + 1, vid))
         else:
             v.dropped += 1
             if trace is not None:

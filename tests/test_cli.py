@@ -139,6 +139,15 @@ class TestSimulateCommand:
             assert event in {"generation", "enqueue", "drop", "reservation",
                              "transmission", "collision"}
 
+    @pytest.mark.parametrize("flags", [["--duration-s", "nan"], ["--duration-s", "inf"],
+                                       ["--duration-s", "10", "--jobs", "-2"]],
+                             ids=["nan", "inf", "jobs"])
+    def test_invalid_run_settings_exit_2(self, tmp_path, capsys, flags):
+        cfg = write(tmp_path, "tech=dot11p\nn=3\n")
+        assert main(["simulate", "--config", cfg, "--replications", "1"] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
     def test_trace_rejects_several_points(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(sim, "run_sim", lambda *a, **kw: calls.append(a))

@@ -91,6 +91,11 @@ class TestDeterminismAndValidation:
         coll = Counter((r[0], r[3]) for r in lines if r[2] == "collision")
         assert all(v >= 2 for v in coll.values())
 
+    @pytest.mark.parametrize("duration_s", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_duration_is_rejected(self, duration_s):
+        with pytest.raises(InvalidDuration):
+            run_sim("cv2x", scenario(), seed=1, duration_s=duration_s, replications=1)
+
     def test_duration_and_replication_validation(self):
         with pytest.raises(InvalidDuration):
             run_sim("cv2x", scenario(), seed=1, duration_s=5, replications=1)
@@ -232,6 +237,8 @@ def test_package_raises_no_bare_value_error():
     lambda: solve_coupled("wimax", scenario()),
     lambda: adaptive_cam_rate(1.5, 100),
     lambda: run_sim("wimax", scenario(), seed=1, duration_s=10.0, replications=1),
+    lambda: run_sim("dot11p", scenario(), seed=1, duration_s=10.0, replications=2, jobs=0),
+    lambda: run_sim("cv2x", scenario(), seed=1, duration_s=10.0, replications=1, jobs=-2),
 ])
 def test_invalid_arguments_raise_typed_error(call):
     with pytest.raises(InvalidArgument):
