@@ -24,7 +24,7 @@ import pytest
 from v2xmac.config import Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams
 from v2xmac.sim import cv2x, dot11p
 
-HERE = Path(__file__).parent
+GOLDEN = {tech: Path(__file__).with_name(f"{tech}_golden.json") for tech in ("dot11p", "cv2x")}
 DURATION_S = 10.0
 SEEDS = range(1, 6)
 
@@ -57,15 +57,17 @@ def cv2x_id(n, gamma, seed):
     return f"n{n}-gamma{gamma}-seed{seed}"
 
 
-def dot11p_scenario(n, aifsn, c_min, extra, seed):
+def dot11p_digests(n, aifsn, c_min, extra, seed):
     extra = dict(extra)
     traffic = {key: extra.pop(key) for key in ("m", "lam") if key in extra}
-    return ScenarioConfig(tech="dot11p", n=n, traffic=TrafficParams(**traffic),
-                          dot11p=Dot11pParams(aifsn=aifsn, c_min=c_min, **extra)).validate()
+    s = ScenarioConfig(tech="dot11p", n=n, traffic=TrafficParams(**traffic),
+                       dot11p=Dot11pParams(aifsn=aifsn, c_min=c_min, **extra)).validate()
+    return digests(dot11p.run_replication, s, seed)
 
 
-def cv2x_scenario(n, gamma, seed):
-    return ScenarioConfig(tech="cv2x", n=n, cv2x=Cv2xParams(gamma=gamma)).validate()
+def cv2x_digests(n, gamma, seed):
+    s = ScenarioConfig(tech="cv2x", n=n, cv2x=Cv2xParams(gamma=gamma)).validate()
+    return digests(cv2x.run_replication, s, seed)
 
 
 def digests(runner, scenario, seed):
@@ -79,35 +81,22 @@ def digests(runner, scenario, seed):
     return {"stats": hashlib.sha256(record).hexdigest(), "trace": trace.hexdigest()}
 
 
-SUITES = {
-    "dot11p": (HERE / "dot11p_golden.json", DOT11P_CASES, dot11p_id, dot11p_scenario,
-               dot11p.run_replication),
-    "cv2x": (HERE / "cv2x_golden.json", CV2X_CASES, cv2x_id, cv2x_scenario,
-             cv2x.run_replication),
-}
-
-
-def case_digests(tech, case):
-    _, _, _, scenario, runner = SUITES[tech]
-    return digests(runner, scenario(*case), case[-1])
-
-
 @pytest.fixture(scope="module")
 def golden():
-    return {tech: json.loads(path.read_text()) for tech, (path, *_) in SUITES.items()}
+    return {tech: json.loads(path.read_text()) for tech, path in GOLDEN.items()}
 
 
 @pytest.mark.parametrize("case", DOT11P_CASES, ids=[dot11p_id(*c) for c in DOT11P_CASES])
 def test_replication_matches_golden_digests(case, golden):
-    assert case_digests("dot11p", case) == golden["dot11p"][dot11p_id(*case)]
+    assert dot11p_digests(*case) == golden["dot11p"][dot11p_id(*case)]
 
 
 @pytest.mark.parametrize("case", CV2X_CASES, ids=[cv2x_id(*c) for c in CV2X_CASES])
 def test_cv2x_replication_matches_golden_digests(case, golden):
-    assert case_digests("cv2x", case) == golden["cv2x"][cv2x_id(*case)]
+    assert cv2x_digests(*case) == golden["cv2x"][cv2x_id(*case)]
 
 
 if __name__ == "__main__":
-    for tech, (path, cases, case_id, _, _) in SUITES.items():
-        path.write_text(json.dumps({case_id(*c): case_digests(tech, c) for c in cases},
-                                   indent=1, sort_keys=True) + "\n")
+    for tech, table in (("dot11p", {dot11p_id(*c): dot11p_digests(*c) for c in DOT11P_CASES}),
+                        ("cv2x", {cv2x_id(*c): cv2x_digests(*c) for c in CV2X_CASES})):
+        GOLDEN[tech].write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
