@@ -18,11 +18,12 @@ and burst starts.
 
 An AIFS line starts one slot after its packet's arrival, or one idle-state
 slot after the vehicle's own transmission ends; an arrival during that
-transmission waits for it. If the line's first slot is idle, it ends Omega slots later unless a burst starts first. An AIFS line
-that a burst interrupts, or whose first slot is busy, draws u from
-U{0..C_min-1} and backs off: it waits out the burst, waits Omega slots,
-then senses at stage s = u (0 for u <= 1), s slots (s, s-1, ..., 2, then
-0) or one slot at stage 0, and transmits max(u, 1) slots after the wait.
+transmission waits for it. If the line's first slot is idle, it ends Omega
+slots later unless a burst starts first. An AIFS line that a burst
+interrupts, or whose first slot is busy, draws u from U{0..C_min-1} and
+backs off: it waits out the burst, waits Omega slots, then senses at stage
+s = u (0 for u <= 1), s slots (s, s-1, ..., 2, then 0) or one slot at
+stage 0, and transmits max(u, 1) slots after the wait.
 
 Every burst that starts before a backoff transmits moves that transmission
 by exactly tx_slots + Omega:
