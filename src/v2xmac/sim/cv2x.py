@@ -6,43 +6,58 @@ transmissions in the same (subframe, CSR) cell. Sensing is SCI-announced
 occupancy: a reservation becomes visible to others at the first transmission
 on the new cell, so vehicles reselecting in overlapping windows can pick the
 same cell, which is the modeled collision mechanism.
+
+Within a subframe, arrivals are queued before opportunities, and
+opportunities run in the order they were scheduled, which fixes the
+occupancy each reselection sees.
+
+Arrivals are not events. Each vehicle keeps its arrival subframes as one
+sorted list, and at each of its opportunities first moves the arrivals up
+to that subframe into its queue: the first M - len(queue) are queued and
+the rest dropped. A queue only shrinks at its own vehicle's opportunities,
+so this gives the queue and the drops that arrival-by-arrival queueing
+gives. The loop visits only subframes with an opportunity. With a trace
+sink it also visits every subframe with an arrival and queues those
+arrivals first, so that the trace comes out in time order.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+import heapq
+from bisect import bisect_right
+from collections import deque
 
 import numpy as np
 
 from ..config import ScenarioConfig
 from .report import WARMUP_S, ReplicationStats
-from .traffic import CAM, arrival_stream
+from .traffic import CAM, arrival_stream, vehicle_rngs
 
 SENSING_WINDOW_MS = 1000
 
 
 class _Vehicle:
-    __slots__ = ("vid", "queue", "arrivals", "arr_idx", "cell", "rc", "next_op",
-                 "announced", "own_history", "generated", "dropped", "transmitted")
+    __slots__ = ("vid", "queue", "arrivals", "kinds", "arr_idx", "cell", "rc",
+                 "announced", "own_history", "dropped", "transmitted")
 
-    def __init__(self, vid):
+    def __init__(self, vid, arrivals):
         self.vid = vid
-        self.queue = deque()
-        self.arrivals = []
-        self.arr_idx = 0
+        self.queue = deque()      # generation subframes of the queued packets
+        self.arrivals = arrivals  # subframes of its arrivals, sorted
+        self.kinds = None         # traced: the kind of each arrival
+        self.arr_idx = 0          # arrivals before it are queued or dropped
         self.cell = -1
         self.rc = 0
-        self.next_op = 0
         self.announced = False
         self.own_history = {}  # cell -> last used subframe
-        self.generated = 0
         self.dropped = 0
         self.transmitted = 0
 
 
 def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
                     duration_s: float, trace=None) -> ReplicationStats:
+    heappush, heappop = heapq.heappush, heapq.heappop
     p = scenario.cv2x
-    traffic = scenario.traffic
+    m = scenario.traffic.m
     gamma, csrs = p.gamma, p.csrs_per_subframe
     n_cells = gamma * csrs
     l2_size = max(1, int(np.ceil(0.2 * n_cells)))
@@ -50,34 +65,62 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
     warmup = min(int(round(WARMUP_S * 1000)), duration_ms // 4)
 
     vehicles = []
-    occupancy = np.zeros(n_cells, dtype=np.int32)
-    ops = defaultdict(list)
-    arrivals_at = defaultdict(list)
+    occupancy = np.zeros(n_cells)
+    ops = {}                  # subframe -> vids with an opportunity there, in scheduling order
     mac_rngs = []
     for vid in range(scenario.n):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication, vid))
-        traffic_rng, mac_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
-        v = _Vehicle(vid)
-        v.arrivals = [(t // 1000, kind)
-                      for t, kind in arrival_stream(traffic_rng, traffic,
-                                                    duration_ms * 1000)]
-        for t_ms, kind in v.arrivals:
-            arrivals_at[t_ms].append((vid, kind))
+        traffic_rng, mac_rng = vehicle_rngs(seed, replication, vid)
+        stream = arrival_stream(traffic_rng, scenario.traffic, duration_ms * 1000)
+        v = _Vehicle(vid, [t // 1000 for t, _ in stream])
+        if trace is not None:
+            v.kinds = [kind for _, kind in stream]
         # steady-state start: an existing announced reservation per vehicle
         offset = int(mac_rng.integers(0, gamma))
         csr = int(mac_rng.integers(0, csrs))
         v.cell = offset * csrs + csr
         v.rc = int(mac_rng.integers(p.r_low, p.r_high + 1))
-        v.next_op = offset if offset > 0 else gamma
         v.announced = True
         occupancy[v.cell] += 1
         v.own_history[v.cell] = 0
-        ops[v.next_op].append(vid)
+        ops.setdefault(offset if offset > 0 else gamma, []).append(vid)
         vehicles.append(v)
         mac_rngs.append(mac_rng)
 
-    stats = ReplicationStats()
-    tx_now = []
+    arriving = {}             # traced: subframe -> vehicles with an arrival there
+    if trace is not None:
+        for v in vehicles:
+            for t in dict.fromkeys(v.arrivals):
+                arriving.setdefault(t, []).append(v)
+                ops.setdefault(t, [])
+    when = list(ops)          # heap of the subframes in ops
+    heapq.heapify(when)
+
+    def fill(v, t):
+        """Queue v's arrivals up to subframe t while there is room; drop the rest."""
+        arrivals = v.arrivals
+        i = v.arr_idx
+        j = bisect_right(arrivals, t, i)
+        if j == i:
+            return
+        v.arr_idx = j
+        queue = v.queue
+        if trace is None:
+            keep = i + m - len(queue)
+            if keep >= j:
+                queue.extend(arrivals[i:j])
+            else:
+                queue.extend(arrivals[i:keep])
+                v.dropped += j - keep
+            return
+        for k in range(i, j):
+            at = arrivals[k] * 1000
+            trace(at, v.vid, "generation", "cam" if v.kinds[k] == CAM else "denm")
+            if len(queue) < m:
+                queue.append(arrivals[k])
+                trace(at, v.vid, "enqueue", str(len(queue)))
+            else:
+                v.dropped += 1
+                trace(at, v.vid, "drop", "")
 
     def select_new_cell(v, rng, now):
         """SPS steps 1-3 with occupancy standing in for RSSI sensing.
@@ -85,92 +128,91 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
         Callers drop the vehicle's own announcement first, so `occupancy`
         holds other vehicles' reservations only.
         """
-        scores = occupancy.astype(np.float64) * 4.0 + rng.random(n_cells)
+        scores = occupancy * 4.0 + rng.random(n_cells)
         for cell, last in v.own_history.items():
             if last >= now - SENSING_WINDOW_MS:
                 scores[cell] += 1e9  # half-duplex: own past cells are excluded
         l2 = np.argpartition(scores, l2_size - 1)[:l2_size]
         return int(l2[rng.integers(0, l2_size)])
 
-    for t in range(duration_ms):
-        for vid, kind in arrivals_at.get(t, ()):
+    transmissions = collided = 0
+    delay_sum = 0.0
+    while when:
+        t = heappop(when)
+        if t >= duration_ms:
+            break
+        todo = ops.pop(t)
+        for v in arriving.get(t, ()):
+            fill(v, t)
+        in_window = t >= warmup
+        sent = []             # (vid, cell) of this subframe's transmissions
+        for vid in todo:
             v = vehicles[vid]
-            v.generated += 1
-            if trace is not None:
-                trace(t * 1000, vid, "generation", "cam" if kind == CAM else "denm")
-            if len(v.queue) < traffic.m:
-                v.queue.append(t)
-                if trace is not None:
-                    trace(t * 1000, vid, "enqueue", str(len(v.queue)))
-            else:
-                v.dropped += 1
-                if trace is not None:
-                    trace(t * 1000, vid, "drop", "")
-
-        todo = ops.pop(t, None)
-        if todo:
-            tx_now.clear()
-            for vid in todo:
-                v = vehicles[vid]
+            fill(v, t)
+            if not v.announced:
+                occupancy[v.cell] += 1  # first SCI on the new cell
+                v.announced = True
+            v.own_history[v.cell] = t
+            if v.queue:
+                gen = v.queue.popleft()
+                v.transmitted += 1
+                sent.append((vid, v.cell))
+                if in_window:
+                    transmissions += 1
+                    delay_sum += t - gen
                 rng = mac_rngs[vid]
-                if not v.announced:
-                    occupancy[v.cell] += 1  # first SCI on the new cell
-                    v.announced = True
-                v.own_history[v.cell] = t
-                if v.queue:
-                    gen = v.queue.popleft()
-                    v.transmitted += 1
-                    tx_now.append((vid, v.cell, gen))
-                    if v.rc > 1:
-                        v.rc -= 1
-                        v.next_op = t + gamma
-                    elif rng.random() < p.p_rk:
-                        v.rc = int(rng.integers(p.r_low, p.r_high + 1))
-                        v.next_op = t + gamma
-                    else:
-                        occupancy[v.cell] -= 1
-                        v.announced = False
-                        new_cell = select_new_cell(v, rng, t)
-                        offset = new_cell // csrs
-                        v.cell = new_cell
-                        v.rc = int(rng.integers(p.r_low, p.r_high + 1))
-                        v.next_op = t + 1 + (offset - (t + 1)) % gamma
-                        if trace is not None:
-                            trace(t * 1000, vid, "reservation",
-                                  f"{offset}:{new_cell % csrs}:{v.rc}")
+                if v.rc > 1:
+                    v.rc -= 1
+                    next_op = t + gamma
+                elif rng.random() < p.p_rk:
+                    v.rc = int(rng.integers(p.r_low, p.r_high + 1))
+                    next_op = t + gamma
                 else:
-                    v.next_op = t + gamma  # RC held while the queue is empty
-                ops[v.next_op].append(vid)
+                    occupancy[v.cell] -= 1
+                    v.announced = False
+                    new_cell = select_new_cell(v, rng, t)
+                    offset = new_cell // csrs
+                    v.cell = new_cell
+                    v.rc = int(rng.integers(p.r_low, p.r_high + 1))
+                    next_op = t + 1 + (offset - (t + 1)) % gamma
+                    if trace is not None:
+                        trace(t * 1000, vid, "reservation",
+                              f"{offset}:{new_cell % csrs}:{v.rc}")
+            else:
+                next_op = t + gamma  # RC held while the queue is empty
+            bucket = ops.get(next_op)
+            if bucket is None:
+                ops[next_op] = [vid]
+                heappush(when, next_op)
+            else:
+                bucket.append(vid)
 
-            if tx_now:
-                by_cell = defaultdict(list)
-                for vid, cell, gen in tx_now:
-                    by_cell[cell].append((vid, gen))
-                in_window = t >= warmup
-                for cell, players in by_cell.items():
-                    collided = len(players) > 1
-                    for vid, gen in players:
-                        if trace is not None:
-                            trace(t * 1000, vid, "transmission",
-                                  f"{cell // csrs}:{cell % csrs}")
-                            if collided:
-                                trace(t * 1000, vid, "collision",
-                                      f"{cell // csrs}:{cell % csrs}")
-                        if in_window:
-                            stats.transmissions += 1
-                            stats.delay_sum_ms += t - gen
-                            stats.delay_end_sum_ms += t - gen
-                            stats.delayed_packets += 1
-                            if collided:
-                                stats.collided += 1
-                            else:
-                                stats.successful += 1
+        shared = ()           # cells that two or more transmissions share
+        if len(sent) > 1 and len({cell for _, cell in sent}) < len(sent):
+            by_cell = {}
+            for tx in sent:
+                by_cell.setdefault(tx[1], []).append(tx)
+            sent = [tx for group in by_cell.values() for tx in group]
+            shared = {cell for cell, group in by_cell.items() if len(group) > 1}
+            if in_window:
+                collided += sum(len(by_cell[cell]) for cell in shared)
+        if trace is not None:
+            for vid, cell in sent:
+                detail = f"{cell // csrs}:{cell % csrs}"
+                trace(t * 1000, vid, "transmission", detail)
+                if cell in shared:
+                    trace(t * 1000, vid, "collision", detail)
 
-    stats.window_units = duration_ms - warmup
+    stats = ReplicationStats(transmissions=transmissions, collided=collided,
+                             delay_sum_ms=delay_sum, delay_end_sum_ms=delay_sum,
+                             delayed_packets=transmissions,
+                             successful=transmissions - collided,
+                             window_units=duration_ms - warmup)
     for v in vehicles:
-        stats.generated += v.generated
+        fill(v, duration_ms)
+        generated = len(v.arrivals)
+        stats.generated += generated
         stats.dropped += v.dropped
         stats.in_queue_end += len(v.queue)
-        stats.per_vehicle[v.vid] = [v.generated, v.transmitted, v.dropped,
-                                    len(v.queue)]
+        stats.per_vehicle[v.vid] = [generated, v.transmitted, v.dropped, len(v.queue)]
     return stats

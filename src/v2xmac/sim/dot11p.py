@@ -13,7 +13,7 @@ Idle slots cost no events, and neither do backoff countdowns or the ends
 of transmissions. Only a burst start changes what a sensing vehicle sees,
 so each countdown is kept as the slot on which it would transmit, and the
 next burst starts on the earliest of them. The events left are arrivals,
-merged from one pre-sorted list, the first slots of AIFS lines, on a heap,
+in one order sorted up front, the first slots of AIFS lines, on a heap,
 and burst starts.
 
 An AIFS line starts one slot after its packet's arrival, or one idle-state
@@ -51,13 +51,14 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from itertools import chain
 
 import numpy as np
 
 from ..config import ScenarioConfig
 from ..errors import SimulatorInvariant
 from .report import WARMUP_S, ReplicationStats
-from .traffic import CAM, arrival_stream
+from .traffic import CAM, arrival_stream, vehicle_rngs
 
 STAGE_BATCH = 64      # backoff draws taken from a vehicle's stream at a time
 
@@ -66,6 +67,24 @@ def _backoff_delays(rng, c_min):
     """Slots from each backoff's wait to its transmission: max(u, 1), u ~ U{0..C_min-1}."""
     while True:
         yield from np.maximum(rng.integers(0, c_min, size=STAGE_BATCH), 1).tolist()
+
+
+def _arrival_order(streams, slot_us):
+    """Slots, vehicles and kinds of all arrivals as three lists in (slot, vid, kind) order.
+
+    streams[vid] holds the arrivals of vehicle vid as time_us, kind,
+    time_us, kind, ... The list is emptied as soon as it is read, which
+    keeps the peak memory of a replication below the tuple sort's.
+    """
+    counts = [len(a) // 2 for a in streams]
+    t_kind = np.concatenate(streams).reshape(-1, 2)
+    streams.clear()
+    slots = (t_kind[:, 0] // slot_us).astype(np.int64)
+    kinds = t_kind[:, 1].astype(np.int8)
+    del t_kind
+    vids = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    order = np.lexsort((kinds, vids, slots))
+    return slots[order].tolist(), vids[order].tolist(), kinds[order].tolist()
 
 
 class _Vehicle:
@@ -82,6 +101,8 @@ class _Vehicle:
 
 def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
                     duration_s: float, trace=None) -> ReplicationStats:
+    # bound per call, so that a shim put in place of the module's heapq sees every push and pop
+    heappush, heappop = heapq.heappush, heapq.heappop
     p = scenario.dot11p
     cmin, om, th = p.c_min, p.omega, p.tx_slots
     slot_us = p.slot_us
@@ -90,16 +111,17 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
 
     vehicles = []
     delays = []               # per vehicle, its backoff delays in draw order
-    arrivals = []             # (slot, vid, kind), sorted; a sentinel ends it
+    streams = []              # per vehicle, its arrivals as time_us, kind, time_us, kind, ...
     for vid in range(scenario.n):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication, vid))
-        traffic_rng, mac_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
-        arrivals.extend((int(t_us // slot_us), vid, kind) for t_us, kind in
-                        arrival_stream(traffic_rng, scenario.traffic, int(duration_s * 1e6)))
+        traffic_rng, mac_rng = vehicle_rngs(seed, replication, vid)
+        stream = arrival_stream(traffic_rng, scenario.traffic, int(duration_s * 1e6))
+        streams.append(np.fromiter(chain.from_iterable(stream), np.int64, 2 * len(stream)))
         vehicles.append(_Vehicle(vid))
         delays.append(_backoff_delays(mac_rng, cmin))
-    arrivals.sort()
-    arrivals.append((duration_slots, -1, CAM))
+    arr_slots, arr_vids, arr_kinds = _arrival_order(streams, slot_us)
+    arr_slots.append(duration_slots)   # a sentinel ends the arrivals
+    arr_vids.append(-1)
+    arr_kinds.append(CAM)
 
     stats = ReplicationStats()
     heap = []                 # (first slot, vid) of AIFS lines
@@ -137,7 +159,7 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
 
     ai = 0
     while True:
-        a_slot = arrivals[ai][0]
+        a_slot = arr_slots[ai]
         h_slot = heap[0][0] if heap else duration_slots
         slot = aifs[0][0] if aifs else duration_slots
         if backoff and backoff[0][0] + shift < slot:
@@ -151,7 +173,7 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
                 starters.append(aifs.popleft()[1])
             key = slot - shift
             while backoff and backoff[0][0] == key:
-                starters.append(heapq.heappop(backoff)[1])
+                starters.append(heappop(backoff)[1])
             starters.sort()
             # the sensing rules make concurrent transmissions share a start
             # slot: nobody starts while an earlier burst is still on the air
@@ -164,7 +186,7 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
             # every AIFS line still sensing is interrupted and backs off from
             # slot + slide; every pending backoff moves by slide
             for _, vid in aifs:
-                heapq.heappush(backoff, (key + next(delays[vid]), vid))
+                heappush(backoff, (key + next(delays[vid]), vid))
             aifs.clear()
             shift += slide
             for vid in starters:
@@ -174,23 +196,23 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
                 # one idle-state slot after the transmission, then the next packet
                 v.free_at = busy_until
                 if v.queue:
-                    heapq.heappush(heap, (busy_until + 1, vid))
+                    heappush(heap, (busy_until + 1, vid))
             continue
 
         if h_slot <= a_slot:
             if h_slot >= duration_slots:
                 break
-            slot, vid = heapq.heappop(heap)
+            slot, vid = heappop(heap)
             if slot < busy_until:
                 # the AIFS line found the channel busy: wait out the residue
-                heapq.heappush(backoff, (busy_until + om + next(delays[vid]) - shift, vid))
+                heappush(backoff, (busy_until + om + next(delays[vid]) - shift, vid))
             else:
                 aifs.append((slot + om, vid))
             continue
 
         if a_slot >= duration_slots:
             break
-        slot, vid, kind = arrivals[ai]
+        slot, vid, kind = a_slot, arr_vids[ai], arr_kinds[ai]
         ai += 1
         v = vehicles[vid]
         v.generated += 1
@@ -202,7 +224,7 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
                 trace(int(slot * slot_us), vid, "enqueue", str(len(v.queue)))
             if len(v.queue) == 1:
                 # the MAC was idle; the vehicle's own transmission may still be on
-                heapq.heappush(heap, (max(slot, v.free_at) + 1, vid))
+                heappush(heap, (max(slot, v.free_at) + 1, vid))
         else:
             v.dropped += 1
             if trace is not None:

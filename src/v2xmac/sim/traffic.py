@@ -14,6 +14,17 @@ CAM = 0
 DENM = 1
 
 
+def vehicle_rngs(seed: int, replication: int, vid: int):
+    """The (traffic, MAC) generators of one vehicle in one replication.
+
+    They draw what the two children of
+    `SeedSequence(seed, spawn_key=(replication, vid)).spawn(2)` would draw,
+    without building the parent.
+    """
+    return tuple(np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(replication, vid, j))) for j in (0, 1))
+
+
 def arrival_stream(rng: np.random.Generator, params: TrafficParams,
                    duration_us: int):
     """Sorted (time_us, kind) arrivals for one vehicle over [0, duration_us)."""
