@@ -73,8 +73,8 @@ def _arrival_order(streams, slot_us):
     """Slots, vehicles and kinds of all arrivals as three lists in (slot, vid, kind) order.
 
     streams[vid] holds the arrivals of vehicle vid as time_us, kind,
-    time_us, kind, ... The list is emptied as soon as it is read, which
-    keeps the peak memory of a replication below the tuple sort's.
+    time_us, kind, ... The list is emptied as soon as it is read, to lower
+    the peak memory of a replication.
     """
     counts = [len(a) // 2 for a in streams]
     t_kind = np.concatenate(streams).reshape(-1, 2)
