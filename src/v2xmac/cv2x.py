@@ -2,11 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .config import Cv2xParams
 from .errors import InvalidMass, SaturatedQueue
-from .lazy import Lazy, closed_form, form_field
+from .lazy import Lazy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -14,39 +14,28 @@ if TYPE_CHECKING:
 _MASS_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class _Cv2xForm:
-    """Closed-form inputs of the Mode 4 state arrays."""
-
-    params: Cv2xParams
-    p_qne: float
-    a: float
-    b: float
-    w0: float   # pi_{w,0}
-
-
-def _pi_w(form: _Cv2xForm) -> np.ndarray:
+def _pi_w(sol: Cv2xSolution) -> np.ndarray:
     import numpy as np
-    g, p_rk, p_sch = form.params.gamma, form.params.p_rk, form.params.p_sch
+    g, p_rk, p_sch = sol.params.gamma, sol.params.p_rk, sol.params.p_sch
     shape = (g - 1.0 - np.arange(g - 1)) / (g - 1.0)
-    return form.w0 * (form.a * form.b * shape + shape * (1.0 - p_rk) * p_sch + p_rk)
+    return sol.w0 * (sol.a * sol.b * shape + shape * (1.0 - p_rk) * p_sch + p_rk)
 
 
-def _rc_first(form: _Cv2xForm, i: int) -> float:
+def _rc_first(sol: Cv2xSolution, i: int) -> float:
     """pi_(i,0): w0 / p_qne below R_l, w0 n_i / (p_qne w_cnt) from R_l on."""
-    rl, rh = form.params.r_low, form.params.r_high
+    rl, rh = sol.params.r_low, sol.params.r_high
     if i < rl:
-        return form.w0 / form.p_qne
-    return form.w0 * (rh - i + 1) / (form.p_qne * (1 + rh - rl))
+        return sol.w0 / sol.p_qne
+    return sol.w0 * (rh - i + 1) / (sol.p_qne * (1 + rh - rl))
 
 
-def _pi_rc(form: _Cv2xForm) -> np.ndarray:
+def _pi_rc(sol: Cv2xSolution) -> np.ndarray:
     import numpy as np
-    g, rl, rh = form.params.gamma, form.params.r_low, form.params.r_high
-    w_cnt, w0, p_qne = 1 + rh - rl, form.w0, form.p_qne
+    g, rl, rh = sol.params.gamma, sol.params.r_low, sol.params.r_high
+    w_cnt, w0, p_qne = 1 + rh - rl, sol.w0, sol.p_qne
     pi_rc = np.zeros((rh + 1, g))
     for i in range(1, rh + 1):
-        pi_rc[i, 0] = _rc_first(form, i)
+        pi_rc[i, 0] = _rc_first(sol, i)
         if i >= rl:
             pi_rc[i, 1:] = w0 * (rh - i + 1) / (p_qne ** 2 * w_cnt)
         else:
@@ -58,23 +47,29 @@ def _pi_rc(form: _Cv2xForm) -> np.ndarray:
 class Cv2xSolution:
     """Steady state of the Mode 4 chain.
 
-    pi_w[j] covers the waiting states (w, j), j in [0, Gamma-2]; pi_rc[i, j]
-    covers the RC grid for i in [1, R_h] (row 0 of the array is unused
-    padding so indices match RC values), j in [0, Gamma-1]. The arrays are
-    built when first read; p_txo and p_t come from the family sums.
+    params, p_qne, a, b and w0 = pi_{w,0} are its closed form; p_txo and p_t
+    come from its family sums. pi_w[j] covers the waiting states (w, j),
+    j in [0, Gamma-2]; pi_rc[i, j] covers the RC grid for i in [1, R_h] (row 0
+    of the array is unused padding so indices match RC values),
+    j in [0, Gamma-1]. The arrays are built from the closed form when first
+    read.
     """
 
     pi_idle: float
     p_txo: float
     p_t: float
+    params: Cv2xParams
+    p_qne: float
+    a: float
+    b: float
+    w0: float
     pi_w: np.ndarray = Lazy(_pi_w)
     pi_rc: np.ndarray = Lazy(_pi_rc)
-    _form: Optional[_Cv2xForm] = form_field()
 
     @property
     def pi_10(self) -> float:
         """pi_(1,0), the RC = 1 opportunity state."""
-        return _rc_first(self._form, 1) if self._form else float(self.pi_rc[1, 0])
+        return _rc_first(self, 1)
 
 
 def solve_cv2x(params: Cv2xParams, p_qe: float, p_qne: float, p_arr: float) -> Cv2xSolution:
@@ -104,10 +99,10 @@ def solve_cv2x(params: Cv2xParams, p_qe: float, p_qne: float, p_arr: float) -> C
     low_rows, hi_rows = _rc_rows(rl, rh)
     n_sum = hi_rows * (hi_rows + 1) // 2
     p_txo = w0 / p_qne * (low_rows + (n_sum / w_cnt if hi_rows else 0.0))
-    form = _Cv2xForm(params=params, p_qne=p_qne, a=a, b=b, w0=w0)
-    _check_mass(form, low_rows, hi_rows)
-    return closed_form(Cv2xSolution, form, pi_idle=b * w0, p_txo=p_txo,
-                       p_t=p_txo * p_qne)
+    sol = Cv2xSolution(pi_idle=b * w0, p_txo=p_txo, p_t=p_txo * p_qne,
+                       params=params, p_qne=p_qne, a=a, b=b, w0=w0)
+    _check_mass(sol, low_rows, hi_rows)
+    return sol
 
 
 def _rc_rows(rl: int, rh: int):
@@ -116,18 +111,18 @@ def _rc_rows(rl: int, rh: int):
     return rh - hi_rows, hi_rows
 
 
-def _check_mass(form: _Cv2xForm, low_rows: int, hi_rows: int):
-    """Sum-to-one and sign checks on the arrays `form` builds, from their sums.
+def _check_mass(sol: Cv2xSolution, low_rows: int, hi_rows: int):
+    """Sum-to-one and sign checks on the arrays `sol` builds, from their sums.
 
     pi_w is linear in shape = (Gamma - 1 - j) / (Gamma - 1), which runs from
     1 down to 1 / (Gamma - 1) and sums to Gamma / 2, so its extremes are its
     end values. Every RC entry is w0 times a positive coefficient, so the
     most negative one, if any, has the largest coefficient.
     """
-    params, w0, p_qne = form.params, form.w0, form.p_qne
+    params, w0, p_qne = sol.params, sol.w0, sol.p_qne
     g, p_rk, p_sch = params.gamma, params.p_rk, params.p_sch
     w_cnt = 1 + params.r_high - params.r_low
-    c = form.a * form.b
+    c = sol.a * sol.b
     if g >= 2:
         w_ends = [w0 * (c * s + s * (1.0 - p_rk) * p_sch + p_rk)
                   for s in (1.0, 1.0 / (g - 1.0))]
@@ -142,12 +137,12 @@ def _check_mass(form: _Cv2xForm, low_rows: int, hi_rows: int):
         rc_coefs.append(hi_rows / (p_qne * w_cnt))
         if g >= 2:
             rc_coefs.append(hi_rows / (p_qne ** 2 * w_cnt))
-    mass = form.b * w0 + sum_w + sum_rc
+    mass = sol.b * w0 + sum_w + sum_rc
     if abs(mass - 1.0) > _MASS_TOL:
         raise InvalidMass(f"steady-state mass {mass!r} deviates from 1 by more "
                           f"than {_MASS_TOL:g}; parameters are outside the "
                           "closed form's validity region")
     rc_min = min([w0 * k for k in rc_coefs] + [0.0])
-    if form.b * w0 < -1e-15 or min(w_ends, default=0.0) < -1e-15 or rc_min < -1e-15:
+    if sol.b * w0 < -1e-15 or min(w_ends, default=0.0) < -1e-15 or rc_min < -1e-15:
         raise InvalidMass("negative steady-state probability; parameters are "
                           "outside the closed form's validity region")

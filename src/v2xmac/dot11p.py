@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from .config import Dot11pParams
 from .errors import ChannelSaturated, InvalidArgument, ModelValidityError
-from .lazy import Lazy, closed_form, form_field
+from .lazy import Lazy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,37 +30,26 @@ def dot11p_stages(c_min: int):
     return [0] + list(range(2, c_min))
 
 
-@dataclass(frozen=True)
-class _Dot11pForm:
-    """Closed-form inputs of the 802.11p state arrays."""
-
-    params: Dot11pParams
-    h: float         # idle exit probability
-    theta: float
-    f: float         # pi_{B, tx_slots} relative to pi_Idle
-    pi_idle: float
-
-
-def _pi_a(form: _Dot11pForm) -> np.ndarray:
+def _pi_a(sol: Dot11pSolution) -> np.ndarray:
     import numpy as np
-    return form.h * (1.0 - form.theta) ** np.arange(form.params.omega) * form.pi_idle
+    return sol.h * (1.0 - sol.theta) ** np.arange(sol.params.omega) * sol.pi_idle
 
 
-def _pi_b(form: _Dot11pForm) -> np.ndarray:
+def _pi_b(sol: Dot11pSolution) -> np.ndarray:
     import numpy as np
-    th, om, theta = form.params.tx_slots, form.params.omega, form.theta
+    th, om, theta = sol.params.tx_slots, sol.params.omega, sol.theta
     i_b = np.arange(1, th + 1)
-    return form.h * (theta / th * i_b - (1.0 - theta) ** om - theta + 1.0) * form.pi_idle
+    return sol.h * (theta / th * i_b - (1.0 - theta) ** om - theta + 1.0) * sol.pi_idle
 
 
-def _stage_scale(form: _Dot11pForm) -> float:
-    return form.f / (form.params.c_min * (1.0 - form.theta)) * form.pi_idle
+def _stage_scale(sol: Dot11pSolution) -> float:
+    return sol.f / (sol.params.c_min * (1.0 - sol.theta)) * sol.pi_idle
 
 
 def _stage_family(weight):
     """A stage-keyed family f weight(s, C_min, theta) / (C_min (1 - theta)) pi_Idle."""
-    def build(form: _Dot11pForm) -> Dict[int, float]:
-        cmin, theta, scale = form.params.c_min, form.theta, _stage_scale(form)
+    def build(sol: Dot11pSolution) -> Dict[int, float]:
+        cmin, theta, scale = sol.params.c_min, sol.theta, _stage_scale(sol)
         return {s: weight(s, cmin, theta) * scale for s in dot11p_stages(cmin)}
     return build
 
@@ -79,55 +68,50 @@ def _backoff_aifs_weight(s, cmin, theta):
     return 1.0 + (cmin - s - 1) * theta
 
 
-def _pi_tx(form: _Dot11pForm) -> np.ndarray:
+def _pi_tx(sol: Dot11pSolution) -> np.ndarray:
     import numpy as np
-    return np.full(form.params.tx_slots, form.h * form.pi_idle)
+    return np.full(sol.params.tx_slots, sol.h * sol.pi_idle)
 
 
 @dataclass(frozen=True)
 class Dot11pSolution:
     """Steady state of the 802.11p chain at aSlotTime resolution.
 
-    Stage-indexed families are dicts keyed by the existing backoff stages
-    ({0} union [2, C_min - 1]); per-stage line values are constant along the
-    line, so a single number is stored per stage. The families are built
-    when first read; pi_Idle and P_t come from their sums.
+    theta, params, the idle exit probability h, f = pi_{B, tx_slots} / pi_Idle
+    and pi_Idle itself are its closed form; pi_Idle and P_t come from the
+    family sums. Stage-indexed families are dicts keyed by the
+    existing backoff stages ({0} union [2, C_min - 1]); per-stage line values
+    are constant along the line, so a single number is stored per stage. The
+    families are built from the closed form when first read.
     """
 
     pi_idle: float
     theta: float
     p_t: float
+    params: Dot11pParams
+    h: float
+    f: float
     pi_a: np.ndarray = Lazy(_pi_a)              # A_1..A_Omega
     pi_b: np.ndarray = Lazy(_pi_b)              # (B, 1..tx_slots)
     pi_sense: Dict[int, float] = Lazy(_stage_family(_sense_weight))    # (I, s)
     pi_delta: Dict[int, float] = Lazy(_stage_family(_delta_weight))    # (Delta_s, j), constant in j
     pi_backoff_aifs: Dict[int, float] = Lazy(_stage_family(_backoff_aifs_weight))  # (s, A_j)
     pi_tx: np.ndarray = Lazy(_pi_tx)            # (Tx, 1..tx_slots)
-    _form: Optional[_Dot11pForm] = form_field()
 
     @property
     def a_last(self) -> float:
         """pi_{A_Omega}: h (1 - theta)^(Omega - 1) pi_Idle."""
-        form = self._form
-        if form is None:
-            return float(self.pi_a[-1])
-        return form.h * (1.0 - form.theta) ** (form.params.omega - 1) * form.pi_idle
+        return self.h * (1.0 - self.theta) ** (self.params.omega - 1) * self.pi_idle
 
     @property
     def tx_total(self) -> float:
         """The sum of pi_Tx over its tx_slots states: tx_slots h pi_Idle."""
-        form = self._form
-        if form is None:
-            return float(self.pi_tx.sum())
-        return form.params.tx_slots * form.h * form.pi_idle
+        return self.params.tx_slots * self.h * self.pi_idle
 
     @property
     def sense_first(self) -> float:
         """pi_{I,0}: f C_min / (C_min (1 - theta)) pi_Idle."""
-        form = self._form
-        if form is None:
-            return float(self.pi_sense[0])
-        return _sense_weight(0, form.params.c_min, form.theta) * _stage_scale(form)
+        return _sense_weight(0, self.params.c_min, self.theta) * _stage_scale(self)
 
 
 def _line_sum(theta: float, n: int) -> float:
@@ -171,9 +155,8 @@ def solve_dot11p(params: Dot11pParams, p_qe: float, p_arr: float,
              + stage_scale * (sense_w * (1.0 + th * theta) + (om - 1) * backoff_w)
              + th * h)
     pi_idle = 1.0 / total
-    form = _Dot11pForm(params=params, h=h, theta=theta, f=f, pi_idle=pi_idle)
-    return closed_form(Dot11pSolution, form, pi_idle=pi_idle, theta=theta,
-                       p_t=th * h * pi_idle)
+    return Dot11pSolution(pi_idle=pi_idle, theta=theta, p_t=th * h * pi_idle,
+                          params=params, h=h, f=f)
 
 
 def update_theta(p_t: float, n: int) -> float:

@@ -5,11 +5,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import Cv2xParams, ScenarioConfig
+from .config import Cv2xParams, Dot11pParams, ScenarioConfig
 from .coupling import FixedPointReport, solve_coupled
 from .cv2x import Cv2xSolution
 # state_delays is not called here; the benchmark's tracer wraps it at this name
-from .dot11p import DelayTable, Dot11pSolution, delay_recurrences, state_delays  # noqa: F401
+from .dot11p import Dot11pSolution, delay_recurrences, state_delays  # noqa: F401
 from .errors import (EmptySystem, InvalidArgument, ModelValidityError,
                      NoTransmitter, ResourceExhaustion)
 from .traffic import QueueSolution
@@ -91,16 +91,16 @@ def avg_delay_cv2x(queue: QueueSolution, p_txo: float) -> float:
     return queue.delay_sum / (2.0 * p_txo) / (1.0 - queue.p_qe)
 
 
-def avg_delay_dot11p(delays: DelayTable) -> float:
+def avg_delay_dot11p(params: Dot11pParams, theta: float) -> float:
     """Average generation-to-transmission-end delay in aSlotTime units, 802.11p.
 
     A packet enters the MAC at A_1, so its delay is the chain's expected
     first-passage time from A_1 to the end of its transmission, D_{A_1}.
     This is continuous in theta and equals Omega + tx_slots on an idle
     channel. By Little's law it also equals (1 - pi_Idle) / pi_{A_1} of the
-    MAC steady state at the theta `delays` was solved for.
+    MAC steady state at busy ratio theta.
     """
-    return delays.aifs[1]
+    return delay_recurrences(params, theta)[2][1]
 
 
 def channel_utilization(tech: str, p_t: float, n: int, p_col: float,
@@ -130,8 +130,7 @@ def evaluate_fixed_point(report: FixedPointReport, scenario: ScenarioConfig) -> 
                              iterations=report.iterations, converged=report.converged)
     sol = report.dot11p
     p_col = collision_prob_dot11p(sol, scenario.n)
-    d_slots = delay_recurrences(scenario.dot11p, sol.theta)[2][1]   # D_{A_1}
-    d_ms = d_slots * scenario.dot11p.slot_us / 1000.0
+    d_ms = avg_delay_dot11p(scenario.dot11p, sol.theta) * scenario.dot11p.slot_us / 1000.0
     cu = channel_utilization("dot11p", state.p_t, scenario.n, p_col)
     return MetricsReport(tech="dot11p", n=scenario.n, p_col=p_col, d_avg_ms=d_ms,
                          cu_avg=cu, p_t=state.p_t, p_qe=state.p_qe, theta=sol.theta,

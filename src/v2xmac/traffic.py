@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from .config import TrafficParams
 from .errors import DegenerateQueue, DegenerateTransmitProbability, ModelValidityError
-from .lazy import Lazy, closed_form, form_field
+from .lazy import Lazy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -15,55 +15,35 @@ if TYPE_CHECKING:
 SUBFRAME_US = 1000.0  # the generators and the queue step once per 1 ms subframe
 
 
-@dataclass(frozen=True)
-class _GeneratorForm:
-    """Closed-form inputs of one generator, and the scalars the fixed point reads."""
-
-    t_l: int
-    p_t: float
-    repeat_weight: float   # 1 for CAM, 1 - 1/K for DENM
-    tx0: float             # pi_tx[0], the normalization
-    txp0: float            # pi_txp[0]
-    txp_tail: float        # sum of pi_txp[1:]
+def _generator_pi_tx(sol: GeneratorSolution) -> np.ndarray:
+    return _generator_arrays(sol.t_l, sol.p_t, sol.repeat_weight)[0] * sol.tx_first
 
 
-def _generator_pi_tx(form: _GeneratorForm) -> np.ndarray:
-    return _generator_arrays(form.t_l, form.p_t, form.repeat_weight)[0] * form.tx0
-
-
-def _generator_pi_txp(form: _GeneratorForm) -> np.ndarray:
-    return _generator_arrays(form.t_l, form.p_t, form.repeat_weight)[1] * form.tx0
+def _generator_pi_txp(sol: GeneratorSolution) -> np.ndarray:
+    return _generator_arrays(sol.t_l, sol.p_t, sol.repeat_weight)[1] * sol.tx_first
 
 
 @dataclass(frozen=True)
 class GeneratorSolution:
     """Steady state of one packet generator.
 
-    pi_tx[j] is the probability of (tx, j), pi_txp[j] of (txp, j) for
-    j in [0, T_l - 1]; pi_idle_denm is the DENM idle-state mass (0 for CAM).
-    The scalars below come from the closed form in O(1); a solution given
-    its arrays explicitly reads them from the arrays.
+    The fields up to txp_tail are its closed form: period T_l, transmit
+    probability P_t, repeat_weight (1 for CAM, 1 - 1/K for DENM) and the
+    three scalars the fixed point reads. pi_tx[j] is the probability of
+    (tx, j), pi_txp[j] of (txp, j) for j in [0, T_l - 1]; both are built from
+    the closed form when first read. pi_idle_denm is the DENM idle-state mass
+    (0 for CAM).
     """
 
+    t_l: int
+    p_t: float
+    repeat_weight: float
+    tx_first: float     # pi_tx[0], the normalization
+    txp_first: float    # pi_txp[0]
+    txp_tail: float     # the blocked row's mass beyond j = 0: sum of pi_txp[1:]
+    pi_idle_denm: float = 0.0
     pi_tx: np.ndarray = Lazy(_generator_pi_tx)
     pi_txp: np.ndarray = Lazy(_generator_pi_txp)
-    pi_idle_denm: float = 0.0
-    _form: Optional[_GeneratorForm] = form_field()
-
-    @property
-    def tx_first(self) -> float:
-        """pi_tx[0]."""
-        return self._form.tx0 if self._form else float(self.pi_tx[0])
-
-    @property
-    def txp_first(self) -> float:
-        """pi_txp[0]."""
-        return self._form.txp0 if self._form else float(self.pi_txp[0])
-
-    @property
-    def txp_tail(self) -> float:
-        """The blocked row's mass beyond j = 0: sum of pi_txp[1:]."""
-        return self._form.txp_tail if self._form else float(self.pi_txp[1:].sum())
 
     @property
     def generation_rate(self) -> float:
@@ -75,9 +55,11 @@ class GeneratorSolution:
         return self.tx_first + self.txp_first
 
 
-def _queue_masses(form) -> List[float]:
-    """The queue state probabilities 0..M from form = (alpha, alpha1, beta, M)."""
-    alpha, alpha1, beta, m_cap = form
+def _queue_masses(sol: QueueSolution) -> List[float]:
+    """The queue state probabilities 0..M; all on 0 at beta = 0, where nothing enters."""
+    alpha, alpha1, beta, m_cap = sol.alpha, sol.alpha1, sol.beta, sol.m_cap
+    if beta <= 0.0:
+        return [1.0] + [0.0] * m_cap
     terms = [1.0]
     term = alpha1 / beta
     for _ in range(m_cap):
@@ -87,20 +69,26 @@ def _queue_masses(form) -> List[float]:
     return [t / total for t in terms]
 
 
-def _queue_pi(form) -> np.ndarray:
+def _queue_pi(sol: QueueSolution) -> np.ndarray:
     import numpy as np
-    return np.array(_queue_masses(form))
+    return np.array(_queue_masses(sol))
 
 
 @dataclass(frozen=True)
 class QueueSolution:
+    """Steady state of the device queue on 0..M.
+
+    The rates (alpha, alpha1, beta) and the capacity M are its closed form;
+    pi is built from them when first read.
+    """
+
     p_qe: float
     alpha: float
     alpha1: float
     beta: float
     p_arr: float
+    m_cap: int
     pi: np.ndarray = Lazy(_queue_pi)
-    _form: Optional[tuple] = form_field()
 
     @property
     def p_qne(self) -> float:
@@ -109,8 +97,8 @@ class QueueSolution:
     @property
     def delay_sum(self) -> float:
         """sum over i >= 1 of (2 i - 1) pi_i, the queue-position weights of the delay."""
-        pi = _queue_masses(self._form) if self._form else self.pi
-        return sum((2 * i - 1) * float(pi[i]) for i in range(1, len(pi)))
+        pi = _queue_masses(self)
+        return sum((2 * i - 1) * pi[i] for i in range(1, len(pi)))
 
 
 def _generator_arrays(t_l: int, p_t: float, repeat_weight: float):
@@ -131,18 +119,20 @@ def _generator_arrays(t_l: int, p_t: float, repeat_weight: float):
     return tx, txp
 
 
-def _generator_form(t_l: int, p_t: float, repeat_weight: float,
-                    tx0: float) -> _GeneratorForm:
-    """The O(1) scalars of the arrays _generator_arrays would build.
+def _generator_solution(t_l: int, p_t: float, repeat_weight: float, tx0: float,
+                        pi_idle_denm: float = 0.0) -> GeneratorSolution:
+    """A generator's closed form, with the O(1) scalars of the arrays it builds.
 
     pi_txp[j] = w q^(T_l - j) / z for z = 1 - q^(T_l - 1), so its tail
     j >= 1 is the geometric sum w q / (1 - q).
     """
     q = 1.0 - p_t
     z = 1.0 - q ** (t_l - 1)
-    return _GeneratorForm(t_l=t_l, p_t=p_t, repeat_weight=repeat_weight, tx0=tx0,
-                          txp0=repeat_weight * q ** t_l / z * tx0,
-                          txp_tail=repeat_weight * q / (1.0 - q) * tx0)
+    return GeneratorSolution(t_l=t_l, p_t=p_t, repeat_weight=repeat_weight,
+                             tx_first=tx0,
+                             txp_first=repeat_weight * q ** t_l / z * tx0,
+                             txp_tail=repeat_weight * q / (1.0 - q) * tx0,
+                             pi_idle_denm=pi_idle_denm)
 
 
 def _check_generator(period: int, p_t: float, name: str):
@@ -163,7 +153,7 @@ def solve_cam(params: TrafficParams, p_t: float) -> GeneratorSolution:
     q = 1.0 - p_t
     z = 1.0 - q ** (t_c - 1)
     tx0 = z / (t_c * (1.0 - p_t * q ** (t_c - 1)))
-    return closed_form(GeneratorSolution, _generator_form(t_c, p_t, 1.0, tx0))
+    return _generator_solution(t_c, p_t, 1.0, tx0)
 
 
 def solve_denm(params: TrafficParams, p_t: float) -> GeneratorSolution:
@@ -176,8 +166,7 @@ def solve_denm(params: TrafficParams, p_t: float) -> GeneratorSolution:
     f = 1.0 - 1.0 / k
     tx0 = 1.0 / (f * t_d * (1.0 - p_t * q ** (t_d - 1)) / z
                  + 1.0 / k + 1.0 / (k * sigma))
-    return closed_form(GeneratorSolution, _generator_form(t_d, p_t, f, tx0),
-                       pi_idle_denm=tx0 / (k * sigma))
+    return _generator_solution(t_d, p_t, f, tx0, pi_idle_denm=tx0 / (k * sigma))
 
 
 def per_slot_rate(per_subframe: float, slot_us: float) -> float:
@@ -231,18 +220,16 @@ def solve_queue(alpha: float, alpha1: float, beta: float, m_cap: int,
 
     pi_i = pi_0 (alpha1 / beta) (alpha / beta)^(i-1) for i >= 1, so
     pi_0 = 1 / (1 + (alpha1 / beta) sum_{i<M} (alpha / beta)^i); the sum is
-    M at alpha = beta. Only P_qe = pi_0 is computed here; pi is built when read.
+    M at alpha = beta; at beta = 0 (and so alpha1 = 0) the queue stays empty.
+    Only P_qe = pi_0 is computed here; pi is built when read.
     """
     if m_cap < 1:
         raise DegenerateQueue("queue capacity must be >= 1")
     if beta <= 0.0:
         if alpha1 > 0.0:
             raise DegenerateQueue("beta = 0 with alpha1 > 0: the queue never drains")
-        import numpy as np
-        pi = np.zeros(m_cap + 1)
-        pi[0] = 1.0
-        return QueueSolution(pi=pi, p_qe=1.0, alpha=alpha, alpha1=alpha1,
-                             beta=beta, p_arr=p_arr)
-    p_qe = 1.0 / (1.0 + alpha1 / beta * _geometric_sum(alpha / beta, m_cap))
-    return closed_form(QueueSolution, (alpha, alpha1, beta, m_cap), p_qe=p_qe,
-                       alpha=alpha, alpha1=alpha1, beta=beta, p_arr=p_arr)
+        p_qe = 1.0
+    else:
+        p_qe = 1.0 / (1.0 + alpha1 / beta * _geometric_sum(alpha / beta, m_cap))
+    return QueueSolution(p_qe=p_qe, alpha=alpha, alpha1=alpha1, beta=beta,
+                         p_arr=p_arr, m_cap=m_cap)

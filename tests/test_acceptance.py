@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-import conftest
-from conftest import coupling, oracle_gap, scenario
+from chain_helpers import ACCEPTANCE_LINES, coupling, oracle_gap, scenario
 from v2xmac.config import Dot11pParams
 from v2xmac.coupling import CouplingState, solve_coupled
 from v2xmac.cv2x import solve_cv2x
@@ -29,7 +28,7 @@ def report(num, name, ok, detail=""):
     line = f"ACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'}"
     if detail:
         line += f" -- {detail}"
-    conftest.ACCEPTANCE_LINES.append(line)
+    ACCEPTANCE_LINES.append(line)
     print(line)
     assert ok, line
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from conftest import coupling, oracle_gap, scenario
+from chain_helpers import coupling, oracle_gap, scenario
 from v2xmac.chains import (CHAIN_KINDS, TransitionMatrix, build_chain, hitting_times,
                            solve_steady_state)
 from v2xmac.config import Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams

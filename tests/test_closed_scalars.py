@@ -1,9 +1,11 @@
 """The O(1) scalars the fixed point and the metrics read against the state arrays built on demand.
 
-Each solver returns its scalars from family sums in closed form and builds
-its state arrays only when they are read. These properties check that the
-two agree, and that the validity errors fire on the same inputs as the
-array-based checks they replace.
+Each solution's fields are its closed form: the solver takes its scalars
+from family sums and builds its state arrays only when they are read. These
+properties check that the two agree, and that the validity errors fire on the
+same inputs as the array-based checks they replace. An array given explicitly
+is kept as given and reaches the oracle map, while the scalars still come
+from the closed form.
 """
 import dataclasses
 import itertools
@@ -59,40 +61,6 @@ def test_generators_reject_degenerate_p_t(p_t):
             solve(TrafficParams(), p_t)
 
 
-def test_explicit_arrays_win_over_the_closed_form():
-    sol = solve_cam(TrafficParams(), 0.3)
-    tx = sol.pi_tx.copy()
-    tx[0] += 0.01
-    changed = dataclasses.replace(sol, pi_tx=tx)
-    assert changed.tx_first == tx[0]
-    assert changed.generation_rate == pytest.approx(sol.generation_rate + 0.01)
-    assert np.array_equal(changed.pi_txp, sol.pi_txp)
-
-
-def test_explicit_arrays_feed_the_metric_scalars():
-    # a copy made by dataclasses.replace holds arrays and no closed form
-    cv = solve_cv2x(Cv2xParams(), 0.4, 0.6, 0.2)
-    rc = cv.pi_rc.copy()
-    rc[1, 0] *= 2.0
-    cv_changed = dataclasses.replace(cv, pi_rc=rc)
-    assert cv_changed._form is None and cv_changed.pi_10 == rc[1, 0]
-
-    mac = solve_dot11p(Dot11pParams(), 0.5, 0.2, 0.3)
-    pi_a, pi_tx, sense = mac.pi_a * 2.0, mac.pi_tx * 3.0, dict(mac.pi_sense)
-    sense[0] *= 4.0
-    mac_changed = dataclasses.replace(mac, pi_a=pi_a, pi_tx=pi_tx, pi_sense=sense)
-    assert mac_changed._form is None
-    assert mac_changed.a_last == pi_a[-1]
-    assert mac_changed.tx_total == pi_tx.sum()
-    assert mac_changed.sense_first == sense[0]
-
-    queue = solve_queue(0.1, 0.2, 0.3, 10)
-    pi = queue.pi[::-1].copy()
-    q_changed = dataclasses.replace(queue, pi=pi)
-    assert q_changed._form is None
-    assert _close(q_changed.delay_sum, sum((2 * i - 1) * pi[i] for i in range(1, 11)))
-
-
 # ------------------------------------------------------------------- queue
 @given(alpha=probability, alpha1=probability, beta=st.floats(1e-6, 1.0),
        m_cap=st.integers(1, 50))
@@ -103,6 +71,15 @@ def test_queue_p_qe_matches_array(alpha, alpha1, beta, m_cap):
     assert _close(q.p_qe, float(q.pi[0]))
     weights = 2.0 * np.arange(1, m_cap + 1) - 1.0
     assert _close(q.delay_sum, float((weights * q.pi[1:]).sum()))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("m_cap", [1, 10])
+def test_queue_that_nothing_enters_stays_empty(alpha, m_cap):
+    # beta = 0 with alpha1 = 0: no packet ever enters the empty queue
+    q = solve_queue(alpha, 0.0, 0.0, m_cap)
+    assert q.p_qe == 1.0 and q.delay_sum == 0.0
+    assert list(q.pi) == [1.0] + [0.0] * m_cap
 
 
 def test_queue_p_qe_near_alpha_equal_beta():
@@ -141,7 +118,8 @@ def test_delay_recurrences_give_the_tables_a1_delay(aifsn, c_min):
 def test_metrics_delay_is_the_tables_a1_delay(n):
     s = ScenarioConfig(n=n)
     rep = solve_coupled("dot11p", s)
-    d_slots = avg_delay_dot11p(state_delays(s.dot11p, rep.dot11p.theta))
+    d_slots = state_delays(s.dot11p, rep.dot11p.theta).aifs[1]
+    assert avg_delay_dot11p(s.dot11p, rep.dot11p.theta) == d_slots
     assert evaluate_fixed_point(rep, s).d_avg_ms == d_slots * s.dot11p.slot_us / 1000.0
 
 
@@ -213,3 +191,30 @@ def test_cv2x_rejects_the_same_inputs(gamma, r_low, r_high, p_rk, p_sch, p_qne, 
     else:
         with pytest.raises(expected):
             solve_cv2x(params, 1.0 - p_qne, p_qne, p_arr)
+
+
+# ------------------------------------------------------ explicit arrays
+# The benchmark's oracle check corrupts one state through dataclasses.replace
+# and must see the corruption; the scalars must not.
+def test_a_replaced_rc_grid_reaches_the_oracle_map_not_the_scalars():
+    s = ScenarioConfig()
+    sol = solve_cv2x(s.cv2x, 0.4, 0.6, 0.2)
+    rc = sol.pi_rc.copy()
+    rc[1, 0] *= 2.0
+    changed = dataclasses.replace(sol, pi_rc=rc)
+    assert changed.pi_rc is rc
+    assert closed_form_states("cv2x", s, changed)["rc,1,0"] == rc[1, 0]
+    assert changed.pi_10 == sol.pi_10 == sol.pi_rc[1, 0]
+    assert (changed.p_txo, changed.p_t) == (sol.p_txo, sol.p_t)
+
+
+def test_a_replaced_sensing_family_reaches_the_oracle_map_not_the_scalars():
+    s = ScenarioConfig()
+    sol = solve_dot11p(s.dot11p, 0.5, 0.2, 0.3)
+    sense = dict(sol.pi_sense)
+    sense[0] *= 4.0
+    changed = dataclasses.replace(sol, pi_sense=sense)
+    assert changed.pi_sense is sense
+    assert closed_form_states("dot11p", s, changed)["sense,0"] == sense[0]
+    assert changed.sense_first == sol.sense_first == sol.pi_sense[0]
+    assert changed.p_t == sol.p_t

@@ -3,7 +3,7 @@ import pytest
 
 import dataclasses
 
-from conftest import scenario
+from chain_helpers import scenario
 from v2xmac.config import Dot11pParams
 from v2xmac.coupling import (CouplingState, adaptive_cam_rate,
                              conserving_idle_exit, resolve_adaptive_t_c,

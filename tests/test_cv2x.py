@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coupling, oracle_gap, scenario
+from chain_helpers import coupling, oracle_gap, scenario
 from v2xmac.chains import closed_form_states
 from v2xmac.config import ScenarioConfig
 from v2xmac.config import Cv2xParams

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coupling, oracle_gap, scenario
+from chain_helpers import coupling, oracle_gap, scenario
 from v2xmac.chains import build_chain, closed_form_states, hitting_times
 from v2xmac.config import Dot11pParams, ScenarioConfig
 from v2xmac.dot11p import solve_dot11p, state_delays, update_theta

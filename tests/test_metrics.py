@@ -1,27 +1,22 @@
 """Collision, delay and utilization formulas."""
-import numpy as np
+import dataclasses
+
 import pytest
 
-from conftest import scenario
+from chain_helpers import scenario
 from v2xmac.config import Cv2xParams, Dot11pParams
 from v2xmac.coupling import solve_coupled
 from v2xmac.cv2x import solve_cv2x
-from v2xmac.dot11p import solve_dot11p, state_delays
-from v2xmac.errors import EmptySystem, ResourceExhaustion
+from v2xmac.dot11p import solve_dot11p
+from v2xmac.errors import EmptySystem, ModelValidityError, ResourceExhaustion
 from v2xmac.metrics import (avg_delay_cv2x, avg_delay_dot11p,
                             channel_utilization, collision_prob_cv2x,
                             collision_prob_dot11p, evaluate_fixed_point)
-from v2xmac.traffic import QueueSolution
+from v2xmac.traffic import solve_queue
 
 
 def cv2x_sol(p_qne=0.6, p_arr=0.2, params=None):
     return solve_cv2x(params or Cv2xParams(), 1.0 - p_qne, p_qne, p_arr)
-
-
-def queue_sol(pi):
-    pi = np.asarray(pi, dtype=float)
-    return QueueSolution(pi=pi, p_qe=float(pi[0]), alpha=0.1, alpha1=0.1,
-                         beta=0.3, p_arr=0.1)
 
 
 class TestCollisionCv2x:
@@ -47,13 +42,11 @@ class TestCollisionCv2x:
         assert lo < hi
 
     def test_short_cycle_is_model_validity_error(self):
-        # the overlap product needs the (1,0) cycle to exceed the window
-        import dataclasses
-        from v2xmac.errors import ModelValidityError
+        # the overlap product needs the (1,0) cycle to exceed the window; RC = 1
+        # lies below R_l, so pi_10 = w0 / p_qne = 0.2, a cycle of 5 < Gamma - 1
         sol = cv2x_sol()
-        rc = sol.pi_rc.copy()
-        rc[1, 0] = 0.2  # cycle time 5 < Gamma - 1
-        fake = dataclasses.replace(sol, pi_rc=rc)
+        fake = dataclasses.replace(sol, w0=0.2 * sol.p_qne)
+        assert fake.pi_10 == pytest.approx(0.2)
         with pytest.raises(ModelValidityError):
             collision_prob_cv2x(fake, Cv2xParams(), 100)
 
@@ -72,27 +65,29 @@ class TestCollisionDot11p:
 
 class TestDelays:
     def test_single_slot_queue_half_cycle(self):
-        q = queue_sol([0.4, 0.6])
+        q = solve_queue(0.0, 0.45, 0.3, 1)
+        assert list(q.pi) == pytest.approx([0.4, 0.6])
         d = avg_delay_cv2x(q, 0.01)
         assert d == pytest.approx(1.0 / (2 * 0.01))
 
     def test_linear_in_inverse_opportunity(self):
-        q = queue_sol([0.3, 0.4, 0.2, 0.1])
+        q = solve_queue(0.15, 0.4, 0.3, 3)
+        assert list(q.pi) == pytest.approx([0.3, 0.4, 0.2, 0.1])
         assert avg_delay_cv2x(q, 0.02) == pytest.approx(avg_delay_cv2x(q, 0.01) / 2)
 
     def test_empty_system_rejected(self):
         with pytest.raises(EmptySystem):
-            avg_delay_cv2x(queue_sol([1.0, 0.0]), 0.01)
+            avg_delay_cv2x(solve_queue(0.1, 0.0, 0.3, 1), 0.01)   # P_qe = 1
 
     def test_dot11p_idle_channel_delay(self):
         params = Dot11pParams()
-        d = avg_delay_dot11p(state_delays(params, 0.0))
+        d = avg_delay_dot11p(params, 0.0)
         # A-line plus transmission, in slots
         assert d == pytest.approx(params.tx_slots + params.omega)
 
     def test_dot11p_delay_continuous_at_idle_channel(self):
         params = Dot11pParams()
-        d0, d1 = (avg_delay_dot11p(state_delays(params, theta)) for theta in (0.0, 1e-9))
+        d0, d1 = (avg_delay_dot11p(params, theta) for theta in (0.0, 1e-9))
         assert abs(d1 - d0) <= 1e-6
 
     @pytest.mark.parametrize("theta", [0.0, 0.2, 0.7])
@@ -100,14 +95,14 @@ class TestDelays:
         # busy-MAC mass per service start = slots from A_1 to the end of Tx
         params = Dot11pParams()
         sol = solve_dot11p(params, 0.6, 0.2, theta)
-        d = avg_delay_dot11p(state_delays(params, theta))
+        d = avg_delay_dot11p(params, theta)
         assert d == pytest.approx((1.0 - sol.pi_idle) / sol.pi_a[0], rel=1e-12)
 
     def test_dot11p_delay_grows_with_theta(self):
         params = Dot11pParams()
         vals = []
         for theta in (0.1, 0.3, 0.5, 0.7):
-            vals.append(avg_delay_dot11p(state_delays(params, theta)))
+            vals.append(avg_delay_dot11p(params, theta))
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import v2xmac
-from conftest import scenario
+from chain_helpers import scenario
 from v2xmac.config import Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams
 from v2xmac.coupling import adaptive_cam_rate, solve_coupled
 from v2xmac.cv2x import solve_cv2x
