@@ -4,7 +4,9 @@ The explicit-chain oracle (`build_chain`, `solve_steady_state`) lives in
 `v2xmac.chains` and the simulator in `v2xmac.sim`; neither is imported here.
 The package root, the closed forms, the metrics and `v2xmac solve` load
 neither numpy nor scipy: they read O(1) scalars. A solution's state arrays
-are numpy arrays, and numpy is imported when one is first read.
+are numpy arrays, and numpy is imported when one is first read. scipy loads
+with the first explicit chain built or solved, and the simulator's process
+pool only when replications run with more than one job.
 """
 
 from .config import (Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams,

@@ -7,6 +7,10 @@ plain linear solve of pi P = pi, and the 802.11p per-state delays against
 exact mean first-passage times. `closed_form_states` maps a closed-form
 solution onto the same state labels the builders use.
 
+Importing this module loads numpy only; the sparse builders and solvers
+import scipy when first called, so code that imports the oracle without
+building a chain never pays for scipy.
+
 State enumeration is fixed and documented per chain (row-major over the
 (i, j) grids) so that regression snapshots stay stable; `_states` is its one
 source:
@@ -22,17 +26,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity, lil_matrix
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .config import ScenarioConfig
 from .cv2x import Cv2xSolution
 from .dot11p import DelayTable, Dot11pSolution, check_omega, dot11p_stages
 from .errors import NoConvergence, NonStochasticMatrix, UnknownChainKind
 from .traffic import GeneratorSolution, QueueSolution
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -79,6 +84,8 @@ class SteadyStateVector:
 
 def _linear_solve(a, b) -> np.ndarray:
     """Solve the sparse system a x = b; a singular or non-finite result raises."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MatrixRankWarning)
@@ -96,6 +103,7 @@ def solve_steady_state(m: TransitionMatrix) -> SteadyStateVector:
     One balance equation is replaced by the normalization row, so periodic
     chains (which defeat power iteration) still solve exactly.
     """
+    from scipy.sparse import identity
     n = m.n
     a = (m.rows.T - identity(n, format="csr")).tolil()
     a[n - 1, :] = 1.0
@@ -119,6 +127,7 @@ def hitting_times(m: TransitionMatrix, target: str) -> Dict[str, float]:
     Finite Markov Chains, 1960). A state that cannot reach `target` makes
     I - Q singular, which raises NoConvergence.
     """
+    from scipy.sparse import identity
     t = m.labels[target]
     rest = np.delete(np.arange(m.n), t)
     a = identity(m.n - 1, format="csr") - m.rows[rest][:, rest]
@@ -184,6 +193,7 @@ def _states(kind: str, params: ScenarioConfig) -> List[Tuple[str, str, object]]:
 
 def build_chain(kind: str, params: ScenarioConfig, coupling: CouplingInputs) -> TransitionMatrix:
     """Materialize one of the five chains as an explicit TransitionMatrix."""
+    from scipy.sparse import csr_matrix, lil_matrix
     states = _states(kind, params)
     at = {(family, index): k for k, (_, family, index) in enumerate(states)}
     m = lil_matrix((len(states), len(states)))

@@ -1,7 +1,7 @@
 """Closed-form steady state of the C-V2X Mode 4 state machine."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .config import Cv2xParams
@@ -63,8 +63,8 @@ class Cv2xSolution:
     a: float
     b: float
     w0: float
-    pi_w: np.ndarray = Lazy(_pi_w)
-    pi_rc: np.ndarray = Lazy(_pi_rc)
+    pi_w: np.ndarray = field(default=Lazy(_pi_w), compare=False, repr=False)
+    pi_rc: np.ndarray = field(default=Lazy(_pi_rc), compare=False, repr=False)
 
     @property
     def pi_10(self) -> float:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from .config import Dot11pParams
@@ -91,12 +91,18 @@ class Dot11pSolution:
     params: Dot11pParams
     h: float
     f: float
-    pi_a: np.ndarray = Lazy(_pi_a)              # A_1..A_Omega
-    pi_b: np.ndarray = Lazy(_pi_b)              # (B, 1..tx_slots)
-    pi_sense: Dict[int, float] = Lazy(_stage_family(_sense_weight))    # (I, s)
-    pi_delta: Dict[int, float] = Lazy(_stage_family(_delta_weight))    # (Delta_s, j), constant in j
-    pi_backoff_aifs: Dict[int, float] = Lazy(_stage_family(_backoff_aifs_weight))  # (s, A_j)
-    pi_tx: np.ndarray = Lazy(_pi_tx)            # (Tx, 1..tx_slots)
+    pi_a: np.ndarray = field(                       # A_1..A_Omega
+        default=Lazy(_pi_a), compare=False, repr=False)
+    pi_b: np.ndarray = field(                       # (B, 1..tx_slots)
+        default=Lazy(_pi_b), compare=False, repr=False)
+    pi_sense: Dict[int, float] = field(             # (I, s)
+        default=Lazy(_stage_family(_sense_weight)), compare=False, repr=False)
+    pi_delta: Dict[int, float] = field(             # (Delta_s, j), constant in j
+        default=Lazy(_stage_family(_delta_weight)), compare=False, repr=False)
+    pi_backoff_aifs: Dict[int, float] = field(      # (s, A_j)
+        default=Lazy(_stage_family(_backoff_aifs_weight)), compare=False, repr=False)
+    pi_tx: np.ndarray = field(                      # (Tx, 1..tx_slots)
+        default=Lazy(_pi_tx), compare=False, repr=False)
 
     @property
     def a_last(self) -> float:

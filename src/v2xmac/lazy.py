@@ -9,16 +9,12 @@ itself on first read. An array passed to the constructor or to
 `dataclasses.replace` is kept as given; the scalars never read it.
 (`replace` reads every field, so its copy keeps the original's arrays
 unless it is given new ones.)
+
+Each such field is declared `field(default=Lazy(build), compare=False,
+repr=False)`. The arrays follow from the other fields, so equality and the
+hash use those alone (comparing arrays would raise), and `repr` builds none.
 """
 from __future__ import annotations
-
-
-class _Unbuilt:
-    def __repr__(self):
-        return "<built on first read>"
-
-
-UNBUILT = _Unbuilt()
 
 
 class Lazy:
@@ -31,12 +27,15 @@ class Lazy:
     def __init__(self, build):
         self._build = build
 
+    def __repr__(self):
+        return "<built on first read>"
+
     def __set_name__(self, owner, name):
         self._name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            return UNBUILT   # the default dataclasses records for the field
+            return self
         try:
             return obj.__dict__[self._name]
         except KeyError:
@@ -44,5 +43,6 @@ class Lazy:
             return value
 
     def __set__(self, obj, value):
-        if value is not UNBUILT:
+        # the dataclass __init__ passes this default itself for an omitted field
+        if value is not self:
             obj.__dict__[self._name] = value

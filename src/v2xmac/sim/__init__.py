@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -46,6 +45,7 @@ def run_sim(tech: str, scenario: ScenarioConfig, seed: int, duration_s: float,
         stats.append(runner(scenario, seed, 0, duration_s, trace=trace))
         reps = reps[1:]
     if jobs > 1 and len(reps) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             stats.extend(pool.map(runner, repeat(scenario), repeat(seed), reps,
                                   repeat(duration_s)))

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List
 
 from .config import TrafficParams
@@ -42,8 +42,8 @@ class GeneratorSolution:
     txp_first: float    # pi_txp[0]
     txp_tail: float     # the blocked row's mass beyond j = 0: sum of pi_txp[1:]
     pi_idle_denm: float = 0.0
-    pi_tx: np.ndarray = Lazy(_generator_pi_tx)
-    pi_txp: np.ndarray = Lazy(_generator_pi_txp)
+    pi_tx: np.ndarray = field(default=Lazy(_generator_pi_tx), compare=False, repr=False)
+    pi_txp: np.ndarray = field(default=Lazy(_generator_pi_txp), compare=False, repr=False)
 
     @property
     def generation_rate(self) -> float:
@@ -88,7 +88,7 @@ class QueueSolution:
     beta: float
     p_arr: float
     m_cap: int
-    pi: np.ndarray = Lazy(_queue_pi)
+    pi: np.ndarray = field(default=Lazy(_queue_pi), compare=False, repr=False)
 
     @property
     def p_qne(self) -> float:

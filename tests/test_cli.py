@@ -230,6 +230,28 @@ def test_cli_import_loads_no_scipy():
     assert fresh_interpreter(f"import sys, v2xmac.cli; print({HEAVY_MODULES})").strip() == "[]"
 
 
+def test_oracle_and_simulator_imports_load_no_scipy_and_no_process_pool():
+    # scipy loads with the first explicit chain, the pool with --jobs > 1
+    code = ("import sys, v2xmac.chains, v2xmac.sim, v2xmac.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'concurrent', 'multiprocessing')))")
+    assert fresh_interpreter(code).strip() == "[]"
+
+
+def test_building_a_chain_loads_scipy():
+    code = textwrap.dedent("""
+        import sys
+        from v2xmac.chains import CouplingInputs, build_chain, solve_steady_state
+        from v2xmac.config import ScenarioConfig
+        before = 'scipy' in sys.modules
+        pi = solve_steady_state(build_chain('queue', ScenarioConfig(), CouplingInputs()))
+        print(before, 'scipy' in sys.modules, len(pi.probs), repr(float(pi.probs.sum())))
+    """)
+    before, after, n, total = fresh_interpreter(code).split()
+    assert (before, after) == ("False", "True")
+    assert int(n) == 11 and float(total) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_solving_every_recipe_loads_no_numpy(tmp_path):
     # the closed forms and metrics read scalars; no state array is built
     code = textwrap.dedent(f"""

@@ -218,3 +218,44 @@ def test_a_replaced_sensing_family_reaches_the_oracle_map_not_the_scalars():
     assert closed_form_states("dot11p", s, changed)["sense,0"] == sense[0]
     assert changed.sense_first == sol.sense_first == sol.pi_sense[0]
     assert changed.p_t == sol.p_t
+
+
+def _solutions():
+    """One solution of each class, each with the name of one of its array fields."""
+    s = ScenarioConfig()
+    return [(solve_cam(s.traffic, 0.3), "pi_tx"), (solve_denm(s.traffic, 0.3), "pi_txp"),
+            (solve_queue(0.1, 0.1, 0.3, 10), "pi"),
+            (solve_cv2x(s.cv2x, 0.4, 0.6, 0.2), "pi_rc"),
+            (solve_dot11p(s.dot11p, 0.5, 0.2, 0.3), "pi_sense")]
+
+
+@pytest.mark.parametrize("sol, name", _solutions())
+def test_solutions_compare_and_hash_by_their_closed_form(sol, name):
+    # the arrays follow from the other fields, so they take no part
+    value = getattr(sol, name)
+    if isinstance(value, dict):
+        doubled = {k: 2.0 * v for k, v in value.items()}
+    else:
+        doubled = 2.0 * value
+    changed = dataclasses.replace(sol, **{name: doubled})
+    assert getattr(changed, name) is doubled
+    assert changed == sol
+    assert hash(changed) == hash(sol)
+    first = dataclasses.fields(sol)[0].name
+    assert dataclasses.replace(sol, **{first: getattr(sol, first) + 1}) != sol
+
+
+@pytest.mark.parametrize("tech", ["cv2x", "dot11p"])
+def test_fixed_point_reports_compare_and_hash(tech):
+    a, b = solve_coupled(tech, ScenarioConfig()), solve_coupled(tech, ScenarioConfig())
+    assert a == b
+    assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("sol, name", _solutions())
+def test_repr_builds_no_array(sol, name):
+    lazy = [f.name for f in dataclasses.fields(sol) if not f.repr]
+    assert name in lazy
+    text = repr(sol)
+    assert not any(f"{field}=" in text for field in lazy)
+    assert not set(lazy) & set(vars(sol))

@@ -1,14 +1,19 @@
 """Collision, delay and utilization formulas."""
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chain_helpers import scenario
-from v2xmac.config import Cv2xParams, Dot11pParams
+from v2xmac.config import (Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams,
+                           rc_window)
 from v2xmac.coupling import solve_coupled
 from v2xmac.cv2x import solve_cv2x
 from v2xmac.dot11p import solve_dot11p
-from v2xmac.errors import EmptySystem, ModelValidityError, ResourceExhaustion
+from v2xmac.errors import (EmptySystem, ModelValidityError, ResourceExhaustion,
+                           V2xMacError)
 from v2xmac.metrics import (avg_delay_cv2x, avg_delay_dot11p,
                             channel_utilization, collision_prob_cv2x,
                             collision_prob_dot11p, evaluate_fixed_point)
@@ -139,3 +144,33 @@ class TestEvaluate:
         assert m.p_txo is None
         assert 0 < m.theta < 1
         assert m.d_avg_ms > 0
+
+
+# ------------------------------------------------ the validated config space
+@st.composite
+def scenarios(draw):
+    gamma = draw(st.integers(2, 1000))
+    r_low, r_high = rc_window(gamma)
+    traffic = TrafficParams(t_c=draw(st.integers(100, 1000)), t_d=draw(st.integers(2, 1000)),
+                            k=draw(st.integers(1, 9)), lam=draw(st.floats(1e-3, 100.0)),
+                            m=draw(st.integers(1, 100)))
+    cv2x = Cv2xParams(gamma=gamma, r_low=r_low, r_high=r_high,
+                      p_rk=draw(st.floats(0.0, 0.8)))
+    dot11p = Dot11pParams(aifsn=draw(st.integers(1, 20)), c_min=draw(st.integers(3, 1023)))
+    return ScenarioConfig(tech=draw(st.sampled_from(["cv2x", "dot11p"])),
+                          n=draw(st.integers(1, 400)), traffic=traffic, cv2x=cv2x,
+                          dot11p=dot11p).validate()
+
+
+@given(scenarios())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_every_valid_scenario_solves_in_range_or_raises_typed(s):
+    try:
+        m = evaluate_fixed_point(solve_coupled(s.tech, s), s)
+    except V2xMacError:
+        return
+    assert m.converged
+    for value in (m.p_col, m.cu_avg, m.p_t, m.p_qe, m.theta):
+        assert 0.0 <= value <= 1.0
+    assert math.isfinite(m.d_avg_ms) and m.d_avg_ms > 0.0
+    assert m.p_txo is None or 0.0 <= m.p_txo <= 1.0
