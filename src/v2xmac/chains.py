@@ -156,6 +156,11 @@ class CouplingInputs:
     def p_qne(self) -> float:
         return 1.0 - self.p_qe
 
+    @property
+    def h(self) -> float:
+        """The 802.11p idle exit 1 - P_qe (1 - P_arr): a packet waits or arrives."""
+        return 1.0 - self.p_qe * (1.0 - self.p_arr)
+
 
 def _states(kind: str, params: ScenarioConfig) -> List[Tuple[str, str, object]]:
     """The states of chain `kind` in matrix order, as (label, family, index).
@@ -349,23 +354,22 @@ def _build_cv2x(m, at, params: ScenarioConfig, c: CouplingInputs):
 def _build_dot11p(m, at, params: ScenarioConfig, c: CouplingInputs):
     """IEEE 802.11p state machine at aSlotTime resolution.
 
-    Idle exits with probability 1 - P_qe (1 - P_arr) into the sensed AIFS
-    line A_1..A_Omega; P_qe and P_arr are per-slot probabilities here. Busy during A_1 enters the residual busy wait
-    uniformly; busy later enters (B, 1). The backoff stage is drawn at
-    (B, tx_slots) with stage 0 twice as likely as any other stage; per-stage
-    AIFS rows are deterministic and the sensing states (I, s) chain down on
-    idle slots, skipping the absent stage 1.
+    Idle exits with probability h = 1 - P_qe (1 - P_arr), from the per-slot
+    P_qe and P_arr, into the sensed AIFS line A_1..A_Omega. Busy during A_1
+    enters the residual busy wait uniformly; busy later enters (B, 1). The
+    backoff stage is drawn at (B, tx_slots) with stage 0 twice as likely as
+    any other stage; per-stage AIFS rows are deterministic and the sensing
+    states (I, s) chain down on idle slots, skipping the absent stage 1.
     """
     p = params.dot11p
     check_omega(p)
     cmin, om, th = p.c_min, p.omega, p.tx_slots
     theta = c.theta
-    h = 1.0 - c.p_qe * (1.0 - c.p_arr)
     stages = dot11p_stages(cmin)
     idle = at["idle", None]
 
-    m[idle, idle] = 1.0 - h
-    m[idle, at["a", 1]] = h
+    m[idle, idle] = 1.0 - c.h
+    m[idle, at["a", 1]] = c.h
     for i in range(1, om):
         m[at["a", i], at["a", i + 1]] = 1.0 - theta
     m[at["a", om], at["txm", 1]] = 1.0 - theta

@@ -33,17 +33,14 @@ class CouplingState:
     """Linking probabilities exchanged between the chains per sweep.
 
     All four are per step of the MAC chain: per subframe for C-V2X, per
-    aSlotTime slot for 802.11p.
+    aSlotTime slot for 802.11p, whose MAC runs at an idle exit h that
+    p_qe = (1 - h) / (1 - p_arr) reports.
     """
 
     p_t: float
     p_qe: float
     p_arr: float
     theta: float  # 802.11p only; held at 0 for C-V2X
-
-    @property
-    def p_qne(self) -> float:
-        return 1.0 - self.p_qe
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,7 @@ def conserving_idle_exit(params: Dot11pParams, arrivals: float,
     1 / (1 + C) the MAC is saturated: h = 1 and it serves its capacity.
     Returns (h, served packets per slot).
     """
-    cost = 1.0 / float(solve_dot11p(params, 0.0, 0.0, theta).pi_idle) - 1.0
+    cost = 1.0 / float(solve_dot11p(params, 1.0, theta).pi_idle) - 1.0
     capacity = 1.0 / (1.0 + cost)
     if arrivals >= capacity:
         return 1.0, capacity
@@ -112,18 +109,17 @@ def _sweep(tech: str, scenario: ScenarioConfig, p_t: float) -> Sweep:
     so each quantity is converted to the step of the chain that receives it.
     The per-slot P_t sets the busy ratio and reaches the generators as the
     probability of being on air in a subframe. Their packet rate becomes
-    P_arr, the per-slot arrival probability. P_qe, the per-slot probability
-    that the idle MAC finds the queue empty, is set so that the MAC starts
-    exactly the arriving packets per slot; a saturated MAC has P_qe = 0 and
-    the queue drops the excess.
+    P_arr, the per-slot arrival probability. The MAC runs at the idle exit h
+    that starts exactly the arriving packets per slot (h = 1 when saturated:
+    the queue drops the excess), and P_qe = (1 - h) / (1 - P_arr) reports h.
     """
     if tech == "cv2x":
         cam = solve_cam(scenario.traffic, p_t)
         denm = solve_denm(scenario.traffic, p_t)
         alpha, alpha1, beta, p_arr = combine_transition_probs(
-            cam, denm, p_t, scenario.traffic)
-        queue = solve_queue(alpha, alpha1, beta, scenario.traffic.m, p_arr)
-        mac = solve_cv2x(scenario.cv2x, queue.p_qe, queue.p_qne, p_arr)
+            cam, denm, scenario.traffic)
+        queue = solve_queue(alpha, alpha1, beta, scenario.traffic.m)
+        mac = solve_cv2x(scenario.cv2x, queue.p_qne, p_arr)
         state = CouplingState(p_t=p_t, p_qe=queue.p_qe, p_arr=p_arr, theta=0.0)
     else:
         params = scenario.dot11p
@@ -135,8 +131,8 @@ def _sweep(tech: str, scenario: ScenarioConfig, p_t: float) -> Sweep:
         p_arr = per_slot_rate(cam.generation_rate + denm.generation_rate,
                               params.slot_us)
         h, _ = conserving_idle_exit(params, p_arr, theta)
+        mac = solve_dot11p(params, h, theta)
         p_qe = (1.0 - h) / (1.0 - p_arr)
-        mac = solve_dot11p(params, p_qe, p_arr, theta)
         state = CouplingState(p_t=p_t, p_qe=p_qe, p_arr=p_arr, theta=theta)
     return Sweep(state=state, p_t_out=mac.p_t, cam=cam, denm=denm, queue=queue,
                  mac=mac)

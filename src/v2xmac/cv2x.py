@@ -72,7 +72,7 @@ class Cv2xSolution:
         return _rc_first(self, 1)
 
 
-def solve_cv2x(params: Cv2xParams, p_qe: float, p_qne: float, p_arr: float) -> Cv2xSolution:
+def solve_cv2x(params: Cv2xParams, p_qne: float, p_arr: float) -> Cv2xSolution:
     """Assemble the Mode 4 steady state for the given linking probabilities.
 
     The waiting-state and RC-grid families follow the per-state closed forms;

@@ -127,13 +127,11 @@ def _line_sum(theta: float, n: int) -> float:
     return -math.expm1(n * math.log1p(-theta)) / theta
 
 
-def solve_dot11p(params: Dot11pParams, p_qe: float, p_arr: float,
-                 theta: float) -> Dot11pSolution:
-    """Assemble the 802.11p steady state for the given linking probabilities.
+def solve_dot11p(params: Dot11pParams, h: float, theta: float) -> Dot11pSolution:
+    """Assemble the 802.11p steady state at idle exit h and busy ratio theta.
 
-    All inputs are per aSlotTime slot: p_qe is the probability that the idle
-    MAC finds the queue empty, p_arr the probability that a packet arrives
-    in a slot. They enter only through the idle exit h = 1 - p_qe (1 - p_arr).
+    Both are per aSlotTime slot: h is the probability that the idle MAC
+    leaves idle for the AIFS line A_1, theta that a slot is sensed busy.
     All state families follow the per-state closed forms and scale with h;
     pi_Idle is fixed by the sum-to-one condition over the families actually
     present (stage 1 does not exist: backoff counter values 0 and 1 both map
@@ -144,7 +142,6 @@ def solve_dot11p(params: Dot11pParams, p_qe: float, p_arr: float,
         raise ChannelSaturated(f"theta = {theta!r}; the closed form needs theta < 1")
     check_omega(params)
     cmin, om, th = params.c_min, params.omega, params.tx_slots
-    h = 1.0 - p_qe * (1.0 - p_arr)
     one_m = 1.0 - theta
     idle_line = one_m ** om
     f = h * (theta - idle_line - theta + 1.0)  # the (B, tx_slots) entry of pi_b

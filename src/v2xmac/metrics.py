@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import Cv2xParams, Dot11pParams, ScenarioConfig
+from .config import Dot11pParams, ScenarioConfig
 from .coupling import FixedPointReport, solve_coupled
 from .cv2x import Cv2xSolution
 # state_delays is not called here; the benchmark's tracer wraps it at this name
@@ -31,7 +31,7 @@ class MetricsReport:
     converged: bool
 
 
-def collision_prob_cv2x(sol: Cv2xSolution, params: Cv2xParams, n: int) -> float:
+def collision_prob_cv2x(sol: Cv2xSolution, n: int) -> float:
     """Schedule-collision probability for Mode 4.
 
     The per-window reuse probability is built from the cycle time of the
@@ -39,6 +39,7 @@ def collision_prob_cv2x(sol: Cv2xSolution, params: Cv2xParams, n: int) -> float:
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
+    params = sol.params
     csr_tot = params.csr_total
     if csr_tot - n + 1 < 1:
         raise ResourceExhaustion(
@@ -120,7 +121,7 @@ def evaluate_fixed_point(report: FixedPointReport, scenario: ScenarioConfig) -> 
     state = report.state
     if report.tech == "cv2x":
         sol = report.cv2x
-        p_col = collision_prob_cv2x(sol, scenario.cv2x, scenario.n)
+        p_col = collision_prob_cv2x(sol, scenario.n)
         d_ms = avg_delay_cv2x(report.queue, sol.p_txo)
         cu = channel_utilization("cv2x", state.p_t, scenario.n, p_col,
                                  scenario.cv2x.csrs_per_subframe)

@@ -104,23 +104,20 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
             return
         v.arr_idx = j
         queue = v.queue
-        if trace is None:
-            keep = i + m - len(queue)
-            if keep >= j:
-                queue.extend(arrivals[i:j])
-            else:
-                queue.extend(arrivals[i:keep])
-                v.dropped += j - keep
-            return
-        for k in range(i, j):
-            at = arrivals[k] * 1000
-            trace(at, v.vid, "generation", "cam" if v.kinds[k] == CAM else "denm")
-            if len(queue) < m:
-                queue.append(arrivals[k])
-                trace(at, v.vid, "enqueue", str(len(queue)))
-            else:
-                v.dropped += 1
-                trace(at, v.vid, "drop", "")
+        keep = i + m - len(queue)     # arrivals before index keep find room
+        if trace is not None:
+            for k in range(i, j):
+                at = arrivals[k] * 1000
+                trace(at, v.vid, "generation", "cam" if v.kinds[k] == CAM else "denm")
+                if k < keep:
+                    trace(at, v.vid, "enqueue", str(len(queue) + k - i + 1))
+                else:
+                    trace(at, v.vid, "drop", "")
+        if keep >= j:
+            queue.extend(arrivals[i:j])
+        else:
+            queue.extend(arrivals[i:keep])
+            v.dropped += j - keep
 
     def select_new_cell(v, rng, now):
         """SPS steps 1-3 with occupancy standing in for RSSI sensing.

@@ -10,7 +10,12 @@ WARMUP_S = 2.0   # simulated time cut from the start of every replication
 
 @dataclass
 class ReplicationStats:
-    """Raw counters from one replication, taken after the warm-up cut."""
+    """Raw counters from one replication.
+
+    generated, dropped, in_queue_end and per_vehicle cover the whole run.
+    transmissions, collided, successful, delayed_packets, the delay sums and
+    window_units cover only the window after the warm-up cut.
+    """
 
     transmissions: int = 0
     collided: int = 0

@@ -86,7 +86,6 @@ class QueueSolution:
     alpha: float
     alpha1: float
     beta: float
-    p_arr: float
     m_cap: int
     pi: np.ndarray = field(default=Lazy(_queue_pi), compare=False, repr=False)
 
@@ -187,13 +186,14 @@ def _union(a: float, b: float) -> float:
 
 
 def combine_transition_probs(cam: GeneratorSolution, denm: GeneratorSolution,
-                             p_t: float, params: TrafficParams):
+                             params: TrafficParams):
     """Queue transition probabilities from the two generators running together.
 
-    Per-generator contributions are merged with the union rule
-    x = x_cam + x_denm - x_cam * x_denm. Returns (alpha, alpha1, beta, p_arr).
+    Both run at the transmit probability cam.p_t. Per-generator contributions
+    are merged with the union rule x = x_cam + x_denm - x_cam * x_denm.
+    Returns (alpha, alpha1, beta, p_arr).
     """
-    f = 1.0 - 1.0 / params.k
+    p_t, f = cam.p_t, denm.repeat_weight
     alpha = _union(cam.txp_first, denm.txp_first)
     alpha1 = _union(cam.tx_first * (1.0 - p_t), denm.tx_first * f * (1.0 - p_t))
     beta = _union(cam.txp_tail * p_t, denm.txp_tail * p_t)
@@ -214,8 +214,7 @@ def _geometric_sum(r: float, m: int) -> float:
         return math.inf
 
 
-def solve_queue(alpha: float, alpha1: float, beta: float, m_cap: int,
-                p_arr: float = 0.0) -> QueueSolution:
+def solve_queue(alpha: float, alpha1: float, beta: float, m_cap: int) -> QueueSolution:
     """Device-queue steady state on 0..M.
 
     pi_i = pi_0 (alpha1 / beta) (alpha / beta)^(i-1) for i >= 1, so
@@ -231,5 +230,4 @@ def solve_queue(alpha: float, alpha1: float, beta: float, m_cap: int,
         p_qe = 1.0
     else:
         p_qe = 1.0 / (1.0 + alpha1 / beta * _geometric_sum(alpha / beta, m_cap))
-    return QueueSolution(p_qe=p_qe, alpha=alpha, alpha1=alpha1, beta=beta,
-                         p_arr=p_arr, m_cap=m_cap)
+    return QueueSolution(p_qe=p_qe, alpha=alpha, alpha1=alpha1, beta=beta, m_cap=m_cap)

@@ -85,12 +85,12 @@ def _closed_vs_oracle(kind, point):
     elif kind == "cv2x":
         s = scenario(gamma=point["gamma"], p_rk=point["p_rk"],
                      p_sch=point.get("p_sch", 1.0))
-        sol = solve_cv2x(s.cv2x, 1.0 - point["p_qne"], point["p_qne"], point["p_arr"])
+        sol = solve_cv2x(s.cv2x, point["p_qne"], point["p_arr"])
         inputs = coupling(p_qe=1.0 - point["p_qne"], p_arr=point["p_arr"])
     else:
         s = scenario()
-        sol = solve_dot11p(s.dot11p, point["p_qe"], point["p_arr"], point["theta"])
         inputs = coupling(**point)
+        sol = solve_dot11p(s.dot11p, inputs.h, point["theta"])
     return oracle_gap(kind, s, sol, inputs)
 
 

@@ -91,12 +91,12 @@ def test_queue_p_qe_near_alpha_equal_beta():
 
 # ------------------------------------------------------------------ 802.11p
 @given(theta=st.floats(0.0, 0.99) | st.sampled_from([6.5e-181, 5e-324, 1e-17]),
-       p_qe=probability, p_arr=probability, c_min=st.integers(3, 63),
-       aifsn=st.integers(2, 15), tx_slots=st.integers(1, 30))
+       h=probability, c_min=st.integers(3, 63), aifsn=st.integers(2, 15),
+       tx_slots=st.integers(1, 30))
 @settings(max_examples=200, deadline=None)
-def test_dot11p_scalars_match_arrays(theta, p_qe, p_arr, c_min, aifsn, tx_slots):
+def test_dot11p_scalars_match_arrays(theta, h, c_min, aifsn, tx_slots):
     s = ScenarioConfig(dot11p=Dot11pParams(c_min=c_min, aifsn=aifsn, tx_slots=tx_slots))
-    sol = solve_dot11p(s.dot11p, p_qe, p_arr, theta)
+    sol = solve_dot11p(s.dot11p, h, theta)
     # every family is pi_Idle times its relative mass, so normalizing the
     # arrays gives pi_Idle / mass; 1 - (mass - pi_Idle) would cancel at small pi_Idle
     mass = sum(closed_form_states("dot11p", s, sol).values())
@@ -127,10 +127,10 @@ def test_metrics_delay_is_the_tables_a1_delay(n):
 @settings(max_examples=60, deadline=None)
 def test_dot11p_rejects_saturated_channel(theta):
     if 0.0 <= theta < 1.0:
-        solve_dot11p(Dot11pParams(), 0.5, 0.1, theta)
+        solve_dot11p(Dot11pParams(), 0.55, theta)
     else:
         with pytest.raises(ChannelSaturated):
-            solve_dot11p(Dot11pParams(), 0.5, 0.1, theta)
+            solve_dot11p(Dot11pParams(), 0.55, theta)
 
 
 # ------------------------------------------------------------------- C-V2X
@@ -168,7 +168,7 @@ def _array_check(params, p_qne, p_arr):
 def test_cv2x_p_txo_matches_array(gamma, r_low, width, p_rk, p_sch, p_qne, p_arr):
     s = ScenarioConfig(cv2x=Cv2xParams(gamma=gamma, r_low=r_low, r_high=r_low + width,
                                        p_rk=p_rk, p_sch=p_sch))
-    sol = solve_cv2x(s.cv2x, 1.0 - p_qne, p_qne, p_arr)
+    sol = solve_cv2x(s.cv2x, p_qne, p_arr)
     assert _close(sol.p_txo, float(sol.pi_rc[1:, 0].sum()))
     assert _close(sol.pi_10, float(sol.pi_rc[1, 0]))
     assert sol.p_t == sol.p_txo * p_qne
@@ -187,10 +187,10 @@ def test_cv2x_rejects_the_same_inputs(gamma, r_low, r_high, p_rk, p_sch, p_qne, 
         except ZeroDivisionError:
             expected = ZeroDivisionError
     if expected is None:
-        solve_cv2x(params, 1.0 - p_qne, p_qne, p_arr)
+        solve_cv2x(params, p_qne, p_arr)
     else:
         with pytest.raises(expected):
-            solve_cv2x(params, 1.0 - p_qne, p_qne, p_arr)
+            solve_cv2x(params, p_qne, p_arr)
 
 
 # ------------------------------------------------------ explicit arrays
@@ -198,7 +198,7 @@ def test_cv2x_rejects_the_same_inputs(gamma, r_low, r_high, p_rk, p_sch, p_qne, 
 # and must see the corruption; the scalars must not.
 def test_a_replaced_rc_grid_reaches_the_oracle_map_not_the_scalars():
     s = ScenarioConfig()
-    sol = solve_cv2x(s.cv2x, 0.4, 0.6, 0.2)
+    sol = solve_cv2x(s.cv2x, 0.6, 0.2)
     rc = sol.pi_rc.copy()
     rc[1, 0] *= 2.0
     changed = dataclasses.replace(sol, pi_rc=rc)
@@ -210,7 +210,7 @@ def test_a_replaced_rc_grid_reaches_the_oracle_map_not_the_scalars():
 
 def test_a_replaced_sensing_family_reaches_the_oracle_map_not_the_scalars():
     s = ScenarioConfig()
-    sol = solve_dot11p(s.dot11p, 0.5, 0.2, 0.3)
+    sol = solve_dot11p(s.dot11p, 0.6, 0.3)
     sense = dict(sol.pi_sense)
     sense[0] *= 4.0
     changed = dataclasses.replace(sol, pi_sense=sense)
@@ -225,8 +225,8 @@ def _solutions():
     s = ScenarioConfig()
     return [(solve_cam(s.traffic, 0.3), "pi_tx"), (solve_denm(s.traffic, 0.3), "pi_txp"),
             (solve_queue(0.1, 0.1, 0.3, 10), "pi"),
-            (solve_cv2x(s.cv2x, 0.4, 0.6, 0.2), "pi_rc"),
-            (solve_dot11p(s.dot11p, 0.5, 0.2, 0.3), "pi_sense")]
+            (solve_cv2x(s.cv2x, 0.6, 0.2), "pi_rc"),
+            (solve_dot11p(s.dot11p, 0.6, 0.3), "pi_sense")]
 
 
 @pytest.mark.parametrize("sol, name", _solutions())

@@ -174,15 +174,23 @@ class TestConservingIdleExit:
         h, served = conserving_idle_exit(params, 1e-4, theta)
         assert served == 1e-4
         assert 0.0 < h < 1.0
-        sol = solve_dot11p(params, 1.0 - h, 0.0, theta)
+        sol = solve_dot11p(params, h, theta)
         assert sol.pi_tx[0] == pytest.approx(1e-4, rel=1e-12)
+
+    def test_sweep_map_is_flat_where_every_arrival_is_served(self):
+        # with K = 1 neither generation rate depends on P_t, and a MAC below
+        # capacity sends exactly what arrives, so G(P_t) = tx_slots P_arr
+        s = scenario(n=50, t_c=400, k=1, lam=0.2)
+        outs = [_sweep("dot11p", s, p_t).p_t_out
+                for p_t in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 2e-2, 5e-2)]
+        assert max(outs) - min(outs) <= 1e-14 * min(outs)
 
     def test_saturated_mac_serves_its_capacity(self):
         params = Dot11pParams()
         h, served = conserving_idle_exit(params, 0.5, 0.3)
         assert h == 1.0
         assert served == pytest.approx(
-            solve_dot11p(params, 0.0, 0.0, 0.3).pi_tx[0], rel=1e-12)
+            solve_dot11p(params, 1.0, 0.3).pi_tx[0], rel=1e-12)
         assert served < 0.5
 
 

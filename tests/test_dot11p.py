@@ -21,36 +21,36 @@ class TestClosedForm:
     @pytest.mark.parametrize("theta", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     def test_matches_oracle_over_theta(self, theta):
         s = scenario()
-        sol = solve_dot11p(s.dot11p, 0.6, 0.2, theta)
-        assert oracle_gap("dot11p", s, sol, coupling(theta=theta, p_qe=0.6, p_arr=0.2)) < 1e-9
+        c = coupling(theta=theta, p_qe=0.6, p_arr=0.2)
+        sol = solve_dot11p(s.dot11p, c.h, theta)
+        assert oracle_gap("dot11p", s, sol, c) < 1e-9
 
     def test_matches_oracle_alternate_omega(self):
         s = scenario(aifsn=9)
-        sol = solve_dot11p(s.dot11p, 0.5, 0.1, 0.3)
-        assert oracle_gap("dot11p", s, sol, coupling(theta=0.3, p_qe=0.5, p_arr=0.1)) < 1e-9
+        c = coupling(theta=0.3, p_qe=0.5, p_arr=0.1)
+        sol = solve_dot11p(s.dot11p, c.h, 0.3)
+        assert oracle_gap("dot11p", s, sol, c) < 1e-9
 
     def test_idle_channel_empties_busy_states(self):
         params = Dot11pParams()
-        sol = solve_dot11p(params, 0.6, 0.2, 0.0)
+        sol = solve_dot11p(params, 0.52, 0.0)
         assert np.all(sol.pi_b == 0.0)
-        h = 1.0 - 0.6 * (1.0 - 0.2)
-        assert np.allclose(sol.pi_a, sol.pi_idle * h)
+        assert np.allclose(sol.pi_a, sol.pi_idle * 0.52)
 
     @given(st.floats(min_value=0.0, max_value=0.95),
-           st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=40, deadline=None)
-    def test_mass_is_one(self, theta, p_qe, p_arr):
+    def test_mass_is_one(self, theta, h):
         s = scenario()
-        sol = solve_dot11p(s.dot11p, p_qe, p_arr, theta)
+        sol = solve_dot11p(s.dot11p, h, theta)
         assert abs(sum(closed_form_states("dot11p", s, sol).values()) - 1.0) < 1e-10
 
     def test_saturated_channel_rejected(self):
         with pytest.raises(ChannelSaturated):
-            solve_dot11p(Dot11pParams(), 0.5, 0.1, 1.0)
+            solve_dot11p(Dot11pParams(), 0.55, 1.0)
 
     def test_p_t_is_tx_mass(self):
-        sol = solve_dot11p(Dot11pParams(), 0.5, 0.1, 0.25)
+        sol = solve_dot11p(Dot11pParams(), 0.55, 0.25)
         assert sol.p_t == pytest.approx(float(sol.pi_tx.sum()))
 
 
@@ -144,7 +144,7 @@ class TestOmegaBelowTwo:
 
     def test_solve_dot11p_rejects(self):
         with pytest.raises(ModelValidityError, match="Omega = 1"):
-            solve_dot11p(self.PARAMS, 0.5, 0.1, 0.3)
+            solve_dot11p(self.PARAMS, 0.55, 0.3)
 
     def test_build_chain_rejects(self):
         s = ScenarioConfig(tech="dot11p", n=10, dot11p=self.PARAMS)

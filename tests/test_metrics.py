@@ -21,29 +21,27 @@ from v2xmac.traffic import solve_queue
 
 
 def cv2x_sol(p_qne=0.6, p_arr=0.2, params=None):
-    return solve_cv2x(params or Cv2xParams(), 1.0 - p_qne, p_qne, p_arr)
+    return solve_cv2x(params or Cv2xParams(), p_qne, p_arr)
 
 
 class TestCollisionCv2x:
     def test_single_vehicle(self):
-        assert collision_prob_cv2x(cv2x_sol(), Cv2xParams(), 1) == 0.0
+        assert collision_prob_cv2x(cv2x_sol(), 1) == 0.0
 
     def test_monotone_in_n(self):
         sol = cv2x_sol()
-        vals = [collision_prob_cv2x(sol, Cv2xParams(), n)
-                for n in (2, 50, 100, 200, 300)]
+        vals = [collision_prob_cv2x(sol, n) for n in (2, 50, 100, 200, 300)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_resource_exhaustion(self):
+        sol = cv2x_sol(params=Cv2xParams(gamma=20, r_low=25, r_high=75))
         with pytest.raises(ResourceExhaustion):
-            collision_prob_cv2x(cv2x_sol(), Cv2xParams(gamma=20, r_low=25, r_high=75), 501)
+            collision_prob_cv2x(sol, 501)
 
     def test_keep_probability_reduces_collisions(self):
-        lo = collision_prob_cv2x(cv2x_sol(params=Cv2xParams(p_rk=0.8)),
-                                 Cv2xParams(p_rk=0.8), 100)
-        hi = collision_prob_cv2x(cv2x_sol(params=Cv2xParams(p_rk=0.0)),
-                                 Cv2xParams(p_rk=0.0), 100)
+        lo = collision_prob_cv2x(cv2x_sol(params=Cv2xParams(p_rk=0.8)), 100)
+        hi = collision_prob_cv2x(cv2x_sol(params=Cv2xParams(p_rk=0.0)), 100)
         assert lo < hi
 
     def test_short_cycle_is_model_validity_error(self):
@@ -53,16 +51,16 @@ class TestCollisionCv2x:
         fake = dataclasses.replace(sol, w0=0.2 * sol.p_qne)
         assert fake.pi_10 == pytest.approx(0.2)
         with pytest.raises(ModelValidityError):
-            collision_prob_cv2x(fake, Cv2xParams(), 100)
+            collision_prob_cv2x(fake, 100)
 
 
 class TestCollisionDot11p:
     def test_single_vehicle_idle_channel(self):
-        sol = solve_dot11p(Dot11pParams(), 0.6, 0.2, 0.0)
+        sol = solve_dot11p(Dot11pParams(), 0.52, 0.0)
         assert collision_prob_dot11p(sol, 1) == 0.0
 
     def test_monotone_in_n(self):
-        sol = solve_dot11p(Dot11pParams(), 0.5, 0.2, 0.4)
+        sol = solve_dot11p(Dot11pParams(), 0.6, 0.4)
         vals = [collision_prob_dot11p(sol, n) for n in (2, 10, 50, 100, 300)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
@@ -99,7 +97,7 @@ class TestDelays:
     def test_dot11p_delay_obeys_littles_law(self, theta):
         # busy-MAC mass per service start = slots from A_1 to the end of Tx
         params = Dot11pParams()
-        sol = solve_dot11p(params, 0.6, 0.2, theta)
+        sol = solve_dot11p(params, 0.52, theta)
         d = avg_delay_dot11p(params, theta)
         assert d == pytest.approx((1.0 - sol.pi_idle) / sol.pi_a[0], rel=1e-12)
 

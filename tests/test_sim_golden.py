@@ -17,11 +17,15 @@ Gamma = 20 and 100. Corners follow at N = 20 and 120: M = 1 at lambda = 20
 (transmissions sharing a cell), Gamma = 2, and r_low = r_high = 1.
 
 Regenerate the digests with `PYTHONPATH=src python tests/test_sim_golden.py`,
-only for a change that is meant to alter simulator output.
+only for a change that is meant to alter simulator output. The same digests
+drive `scripts/sim_digests.py`, which one test runs on two scenarios.
 """
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,6 +158,19 @@ def test_cv2x_replication_matches_golden_digests(case, golden):
 def test_trace_sink_leaves_stats_unchanged(tech, case):
     runner, scenario, seed, traced, _ = case_run(tech, case)
     assert vars(traced) == vars(runner(scenario, seed, 0, DURATION_S))
+
+
+def test_digest_script_runs_both_simulators_traced_and_untraced():
+    # scripts/sim_digests.py is the byte-identity gate for simulator changes
+    script = Path(__file__).resolve().parents[1] / "scripts" / "sim_digests.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(cv2x.__file__).resolve().parents[2])}
+    out = subprocess.run([sys.executable, str(script), "--count", "2"], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    rows = json.loads(out)
+    assert len(rows) == 2
+    for row in rows:
+        for tech in ("cv2x", "dot11p"):
+            assert row[f"{tech}_digests"]["untraced_stats"] == row[f"{tech}_digests"]["stats"]
 
 
 if __name__ == "__main__":

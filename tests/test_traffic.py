@@ -139,7 +139,7 @@ class TestCombine:
         p = TrafficParams()
         cam = solve_cam(p, 0.4)
         denm = solve_denm(p, 0.4)
-        alpha, alpha1, beta, p_arr = combine_transition_probs(cam, denm, 0.4, p)
+        alpha, alpha1, beta, p_arr = combine_transition_probs(cam, denm, p)
         a_c = cam.pi_txp[0]
         a_d = denm.pi_txp[0]
         assert abs(alpha - (a_c + a_d - a_c * a_d)) < 1e-15
@@ -149,7 +149,7 @@ class TestCombine:
         p = TrafficParams(lam=1.0)
         cam = solve_cam(p, 0.4)
         denm = solve_denm(p, 0.4)
-        _, _, _, p_arr = combine_transition_probs(cam, denm, 0.4, p)
+        _, _, _, p_arr = combine_transition_probs(cam, denm, p)
         sigma = p.sigma
         expect = cam.pi_tx[0] + sigma - cam.pi_tx[0] * sigma
         assert abs(p_arr - expect) < 1e-15
@@ -210,7 +210,7 @@ class TestMonotonicity:
         p = TrafficParams(lam=lam)
         cam = solve_cam(p, p_t)
         denm = solve_denm(p, p_t)
-        alpha, alpha1, beta, _ = combine_transition_probs(cam, denm, p_t, p)
+        alpha, alpha1, beta, _ = combine_transition_probs(cam, denm, p)
         return solve_queue(alpha, alpha1, beta, p.m).p_qe
 
     def test_p_qe_nonincreasing_in_lambda(self):
