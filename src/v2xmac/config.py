@@ -34,12 +34,12 @@ class TrafficParams:
     m: int = 10               # queue capacity, packets
 
     def validate(self):
-        if not 100 <= self.t_c <= 1000:
-            raise ConfigParseError("T_C must lie in [100, 1000] subframes", field="traffic.t_c")
-        if self.t_d < 2:
-            raise ConfigParseError("T_D must be >= 2 subframes", field="traffic.t_d")
-        if not 1 <= self.k <= 9:
-            raise ConfigParseError("K must lie in [1, 9]", field="traffic.k")
+        if self.t_c not in range(100, 1001):
+            raise ConfigParseError("T_C must be an integer in [100, 1000]", field="traffic.t_c")
+        if not (self.t_d >= 2 and self.t_d % 1 == 0):
+            raise ConfigParseError("T_D must be an integer >= 2", field="traffic.t_d")
+        if self.k not in range(1, 10):
+            raise ConfigParseError("K must be an integer in [1, 9]", field="traffic.k")
         if self.lam <= 0:
             raise ConfigParseError("lambda must be > 0", field="traffic.lambda")
         if self.t_tilde <= 0:

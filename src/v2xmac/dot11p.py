@@ -138,6 +138,8 @@ def solve_dot11p(params: Dot11pParams, h: float, theta: float) -> Dot11pSolution
     to stage 0). The families' sums are taken in closed form, so this costs
     O(1); the families themselves are built when first read.
     """
+    if not 0.0 <= h <= 1.0:
+        raise InvalidArgument(f"h = {h!r} outside [0, 1]")
     if not 0.0 <= theta < 1.0:
         raise ChannelSaturated(f"theta = {theta!r}; the closed form needs theta < 1")
     check_omega(params)

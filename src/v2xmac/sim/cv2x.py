@@ -29,8 +29,8 @@ from collections import deque
 import numpy as np
 
 from ..config import ScenarioConfig
-from .report import WARMUP_S, ReplicationStats
-from .traffic import CAM, arrival_stream, vehicle_rngs
+from .report import ReplicationStats, warmup_units
+from .traffic import KINDS, arrival_stream, vehicle_rngs
 
 SENSING_WINDOW_MS = 1000
 
@@ -62,18 +62,22 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
     n_cells = gamma * csrs
     l2_size = max(1, int(np.ceil(0.2 * n_cells)))
     duration_ms = int(round(duration_s * 1000))
-    warmup = min(int(round(WARMUP_S * 1000)), duration_ms // 4)
+    warmup = warmup_units(duration_ms, 1000)
 
     vehicles = []
     occupancy = np.zeros(n_cells)
     ops = {}                  # subframe -> vids with an opportunity there, in scheduling order
+    arriving = {}             # traced: subframe -> vehicles with an arrival there
     mac_rngs = []
     for vid in range(scenario.n):
         traffic_rng, mac_rng = vehicle_rngs(seed, replication, vid)
-        stream = arrival_stream(traffic_rng, scenario.traffic, duration_ms * 1000)
-        v = _Vehicle(vid, [t // 1000 for t, _ in stream])
+        rows = arrival_stream(traffic_rng, scenario.traffic, duration_ms * 1000)
+        v = _Vehicle(vid, (rows[:, 0] // 1000).tolist())
         if trace is not None:
-            v.kinds = [kind for _, kind in stream]
+            v.kinds = rows[:, 1].tolist()
+            for t in dict.fromkeys(v.arrivals):
+                arriving.setdefault(t, []).append(v)
+                ops.setdefault(t, [])
         # steady-state start: an existing announced reservation per vehicle
         offset = int(mac_rng.integers(0, gamma))
         csr = int(mac_rng.integers(0, csrs))
@@ -86,12 +90,6 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
         vehicles.append(v)
         mac_rngs.append(mac_rng)
 
-    arriving = {}             # traced: subframe -> vehicles with an arrival there
-    if trace is not None:
-        for v in vehicles:
-            for t in dict.fromkeys(v.arrivals):
-                arriving.setdefault(t, []).append(v)
-                ops.setdefault(t, [])
     when = list(ops)          # heap of the subframes in ops
     heapq.heapify(when)
 
@@ -108,7 +106,7 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
         if trace is not None:
             for k in range(i, j):
                 at = arrivals[k] * 1000
-                trace(at, v.vid, "generation", "cam" if v.kinds[k] == CAM else "denm")
+                trace(at, v.vid, "generation", KINDS[v.kinds[k]])
                 if k < keep:
                     trace(at, v.vid, "enqueue", str(len(queue) + k - i + 1))
                 else:
@@ -207,9 +205,5 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
                              window_units=duration_ms - warmup)
     for v in vehicles:
         fill(v, duration_ms)
-        generated = len(v.arrivals)
-        stats.generated += generated
-        stats.dropped += v.dropped
-        stats.in_queue_end += len(v.queue)
-        stats.per_vehicle[v.vid] = [generated, v.transmitted, v.dropped, len(v.queue)]
+        stats.count_vehicle(v.vid, len(v.arrivals), v.transmitted, v.dropped, len(v.queue))
     return stats

@@ -51,14 +51,13 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from itertools import chain
 
 import numpy as np
 
 from ..config import ScenarioConfig
 from ..errors import SimulatorInvariant
-from .report import WARMUP_S, ReplicationStats
-from .traffic import CAM, arrival_stream, vehicle_rngs
+from .report import ReplicationStats, warmup_units
+from .traffic import KINDS, arrival_stream, vehicle_rngs
 
 STAGE_BATCH = 64      # backoff draws taken from a vehicle's stream at a time
 
@@ -72,12 +71,12 @@ def _backoff_delays(rng, c_min):
 def _arrival_order(streams, slot_us):
     """Slots, vehicles and kinds of all arrivals as three lists in (slot, vid, kind) order.
 
-    streams[vid] holds the arrivals of vehicle vid as time_us, kind,
-    time_us, kind, ... The list is emptied as soon as it is read, to lower
-    the peak memory of a replication.
+    streams[vid] holds the (time_us, kind) rows of vehicle vid's arrivals,
+    as `arrival_stream` returns them. The list is emptied as soon as it is
+    read, to lower the peak memory of a replication.
     """
-    counts = [len(a) // 2 for a in streams]
-    t_kind = np.concatenate(streams).reshape(-1, 2)
+    counts = [len(a) for a in streams]
+    t_kind = np.concatenate(streams)
     streams.clear()
     slots = (t_kind[:, 0] // slot_us).astype(np.int64)
     kinds = t_kind[:, 1].astype(np.int8)
@@ -107,21 +106,18 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
     cmin, om, th = p.c_min, p.omega, p.tx_slots
     slot_us = p.slot_us
     duration_slots = int(round(duration_s * 1e6 / slot_us))
-    warmup = min(int(round(WARMUP_S * 1e6 / slot_us)), duration_slots // 4)
+    warmup = warmup_units(duration_slots, slot_us)
 
     vehicles = []
     delays = []               # per vehicle, its backoff delays in draw order
-    streams = []              # per vehicle, its arrivals as time_us, kind, time_us, kind, ...
+    streams = []              # per vehicle, its (time_us, kind) arrival rows
     for vid in range(scenario.n):
         traffic_rng, mac_rng = vehicle_rngs(seed, replication, vid)
-        stream = arrival_stream(traffic_rng, scenario.traffic, int(duration_s * 1e6))
-        streams.append(np.fromiter(chain.from_iterable(stream), np.int64, 2 * len(stream)))
+        streams.append(arrival_stream(traffic_rng, scenario.traffic, int(duration_s * 1e6)))
         vehicles.append(_Vehicle(vid))
         delays.append(_backoff_delays(mac_rng, cmin))
     arr_slots, arr_vids, arr_kinds = _arrival_order(streams, slot_us)
     arr_slots.append(duration_slots)   # a sentinel ends the arrivals
-    arr_vids.append(-1)
-    arr_kinds.append(CAM)
 
     stats = ReplicationStats()
     heap = []                 # (first slot, vid) of AIFS lines
@@ -217,7 +213,7 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
         v = vehicles[vid]
         v.generated += 1
         if trace is not None:
-            trace(int(slot * slot_us), vid, "generation", "cam" if kind == CAM else "denm")
+            trace(int(slot * slot_us), vid, "generation", KINDS[kind])
         if len(v.queue) < scenario.traffic.m:
             v.queue.append(slot)
             if trace is not None:
@@ -233,9 +229,5 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
     finish_burst()
     stats.window_units = duration_slots - warmup
     for v in vehicles:
-        stats.generated += v.generated
-        stats.dropped += v.dropped
-        stats.in_queue_end += len(v.queue)
-        stats.per_vehicle[v.vid] = [v.generated, v.transmitted, v.dropped,
-                                    len(v.queue)]
+        stats.count_vehicle(v.vid, v.generated, v.transmitted, v.dropped, len(v.queue))
     return stats

@@ -8,13 +8,19 @@ from typing import Dict, List
 WARMUP_S = 2.0   # simulated time cut from the start of every replication
 
 
+def warmup_units(duration_units: int, unit_us: float) -> int:
+    """Time units cut from the start of a run: WARMUP_S, at most a quarter of it."""
+    return min(int(round(WARMUP_S * 1e6 / unit_us)), duration_units // 4)
+
+
 @dataclass
 class ReplicationStats:
     """Raw counters from one replication.
 
-    generated, dropped, in_queue_end and per_vehicle cover the whole run.
-    transmissions, collided, successful, delayed_packets, the delay sums and
-    window_units cover only the window after the warm-up cut.
+    generated, dropped, in_queue_end and per_vehicle cover the whole run, and
+    count_vehicle is the one place that writes them. transmissions, collided,
+    successful, delayed_packets, the delay sums and window_units cover only
+    the window after the warm-up cut that warmup_units sets.
     """
 
     transmissions: int = 0
@@ -28,6 +34,13 @@ class ReplicationStats:
     dropped: int = 0
     in_queue_end: int = 0
     per_vehicle: Dict[int, List[int]] = field(default_factory=dict)
+
+    def count_vehicle(self, vid, generated, transmitted, dropped, queued):
+        """Add one vehicle's whole-run counters."""
+        self.generated += generated
+        self.dropped += dropped
+        self.in_queue_end += queued
+        self.per_vehicle[vid] = [generated, transmitted, dropped, queued]
 
     def p_col(self) -> float:
         return self.collided / self.transmissions if self.transmissions else 0.0

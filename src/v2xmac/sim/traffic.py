@@ -2,7 +2,8 @@
 
 All times are integer microseconds. CAM arrivals are strictly periodic with a
 random initial phase; DENM events are Poisson-triggered trains of K copies
-spaced T_D apart, with no new trigger while a train is running.
+spaced T_D apart, with no new trigger while a train is running. A stream is
+one int64 array of (time_us, kind) rows sorted by (time, kind).
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from ..config import TrafficParams
 
 CAM = 0
 DENM = 1
+KINDS = ("cam", "denm")   # trace labels, by kind
 
 
 def vehicle_rngs(seed: int, replication: int, vid: int):
@@ -26,25 +28,21 @@ def vehicle_rngs(seed: int, replication: int, vid: int):
 
 
 def arrival_stream(rng: np.random.Generator, params: TrafficParams,
-                   duration_us: int):
-    """Sorted (time_us, kind) arrivals for one vehicle over [0, duration_us)."""
-    t_c_us = params.t_c * 1000
-    t_d_us = params.t_d * 1000
-    out = []
-    t = int(rng.integers(0, t_c_us))
-    while t < duration_us:
-        out.append((t, CAM))
-        t += t_c_us
+                   duration_us: int) -> np.ndarray:
+    """Sorted (time_us, kind) rows of one vehicle's arrivals over [0, duration_us)."""
+    t_c_us = int(params.t_c) * 1000
+    t_d_us = int(params.t_d) * 1000
+    train_us = int(params.k) * t_d_us
+    cams = np.arange(int(rng.integers(0, t_c_us)), duration_us, t_c_us, dtype=np.int64)
+    denms = []
     t = 0
     while True:
-        gap = rng.exponential(1.0 / params.lam)
-        t += int(round(gap * 1e6))
+        t += int(round(rng.exponential(1.0 / params.lam) * 1e6))
         if t >= duration_us:
             break
-        for copy in range(params.k):
-            at = t + copy * t_d_us
-            if at < duration_us:
-                out.append((at, DENM))
-        t += (params.k - 1) * t_d_us  # triggers are blocked during the train
-    out.sort()
-    return out
+        denms.extend(range(t, min(t + train_us, duration_us), t_d_us))
+        t += train_us - t_d_us  # triggers are blocked during the train
+    times = np.concatenate((cams, np.array(denms, dtype=np.int64)))
+    # a stable sort keeps each CAM ahead of a DENM at the same time
+    order = np.argsort(times, kind="stable")
+    return np.stack((times[order], np.where(order < len(cams), CAM, DENM)), axis=1)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from v2xmac.config import (_FIELDS, _SWEEP_FIELDS, _SWEEPABLE, ScenarioConfig, SweepSpec,
-                           parse_config, rc_window, serialize_config)
+                           TrafficParams, parse_config, rc_window, serialize_config)
 from v2xmac.errors import ConfigParseError
 
 KEYS = [
@@ -57,6 +57,18 @@ class TestKeyTable:
         with pytest.raises(ConfigParseError) as err:
             parse_config(text)
         assert err.value.field == text.partition("=")[0]
+
+    @pytest.mark.parametrize("name, value", [
+        ("t_c", 150.5), ("t_c", math.nan), ("t_d", 100.5), ("t_d", math.nan),
+        ("t_d", math.inf), ("k", 2.5), ("k", math.inf),
+    ])
+    def test_built_params_need_whole_periods_and_copies(self, name, value):
+        # parsing casts these to int; a directly built TrafficParams must hold
+        # whole numbers too, since the simulators step arrivals by them
+        with pytest.raises(ConfigParseError) as err:
+            TrafficParams(**{name: value}).validate()
+        assert err.value.field == f"traffic.{name}"
+        TrafficParams(t_c=100.0, t_d=2.0, k=9.0).validate()
 
 
 SWEPT_VALUES = st.one_of(

@@ -10,7 +10,7 @@ from chain_helpers import coupling, oracle_gap, scenario
 from v2xmac.chains import build_chain, closed_form_states, hitting_times
 from v2xmac.config import Dot11pParams, ScenarioConfig
 from v2xmac.dot11p import solve_dot11p, state_delays, update_theta
-from v2xmac.errors import ChannelSaturated, ModelValidityError
+from v2xmac.errors import ChannelSaturated, InvalidArgument, ModelValidityError
 
 
 class TestClosedForm:
@@ -48,6 +48,13 @@ class TestClosedForm:
     def test_saturated_channel_rejected(self):
         with pytest.raises(ChannelSaturated):
             solve_dot11p(Dot11pParams(), 0.55, 1.0)
+
+    @pytest.mark.parametrize("h", [-0.5, -0.001, 1.5, float("nan")])
+    def test_idle_exit_outside_unit_interval_rejected(self, h):
+        # unchecked, h = -0.5 gave pi_Idle = -0.0185, h = -0.001 gave
+        # P_t = -0.0157 and NaN gave NaN
+        with pytest.raises(InvalidArgument):
+            solve_dot11p(Dot11pParams(), h, 0.3)
 
     def test_p_t_is_tx_mass(self):
         sol = solve_dot11p(Dot11pParams(), 0.55, 0.25)

@@ -1,5 +1,6 @@
 """Discrete-event simulator behavior: determinism, conservation, contracts."""
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +14,72 @@ from v2xmac.cv2x import solve_cv2x
 from v2xmac.dot11p import solve_dot11p, update_theta
 from v2xmac.errors import InvalidArgument, InvalidDuration
 from v2xmac.metrics import avg_delay_cv2x, collision_prob_cv2x, collision_prob_dot11p
+from v2xmac.sim import cv2x as sim_cv2x
+from v2xmac.sim import dot11p as sim_dot11p
 from v2xmac.sim import run_sim
 from v2xmac.sim.cv2x import run_replication as cv2x_rep
 from v2xmac.sim.dot11p import run_replication as dot11p_rep
+from v2xmac.sim.report import warmup_units
 from v2xmac.sim.traffic import CAM, DENM, arrival_stream
 from v2xmac.traffic import solve_queue
 
 
+def reference_arrival_stream(rng, params, duration_us):
+    """Arrivals as sorted (time_us, kind) tuples, built one arrival at a time."""
+    t_c_us = params.t_c * 1000
+    t_d_us = params.t_d * 1000
+    out = []
+    t = int(rng.integers(0, t_c_us))
+    while t < duration_us:
+        out.append((t, CAM))
+        t += t_c_us
+    t = 0
+    while True:
+        gap = rng.exponential(1.0 / params.lam)
+        t += int(round(gap * 1e6))
+        if t >= duration_us:
+            break
+        for copy in range(params.k):
+            at = t + copy * t_d_us
+            if at < duration_us:
+                out.append((at, DENM))
+        t += (params.k - 1) * t_d_us  # triggers are blocked during the train
+    out.sort()
+    return out
+
+
 class TestTrafficStream:
+    @pytest.mark.parametrize("k", [1, 5, 9])
+    @pytest.mark.parametrize("t_d", [2, 100, 1000])
+    @pytest.mark.parametrize("lam", [1e-3, 0.2, 5.0, 50.0])
+    def test_matches_reference(self, k, t_d, lam):
+        p = TrafficParams(t_c=100, t_d=t_d, k=k, lam=lam)
+        # durations that end inside a train as well as on whole seconds
+        for seed, duration_us in itertools.product(range(4), (10**7, 10**7 + 1_234_567,
+                                                               3 * t_d * 1000 + 1)):
+            rows = arrival_stream(np.random.default_rng(seed), p, duration_us)
+            want = reference_arrival_stream(np.random.default_rng(seed), p, duration_us)
+            assert rows.dtype == np.int64 and rows.shape == (len(want), 2)
+            assert [tuple(row) for row in rows.tolist()] == want
+
+    def test_matches_reference_with_a_cut_train(self):
+        # a train that the end of the run cuts short keeps only its early copies
+        p = TrafficParams(t_c=1000, t_d=100, k=9, lam=50.0)
+        cut = 0
+        for seed in range(20):
+            rows = arrival_stream(np.random.default_rng(seed), p, 2_450_000)
+            want = reference_arrival_stream(np.random.default_rng(seed), p, 2_450_000)
+            assert [tuple(row) for row in rows.tolist()] == want
+            denms = [t for t, k in want if k == DENM]
+            cut += len(denms) % 9 != 0
+        assert cut > 0
+
+    def test_whole_number_floats_give_the_integer_stream(self):
+        ints = arrival_stream(np.random.default_rng(6), TrafficParams(t_d=30, k=4), 10**7)
+        floats = arrival_stream(np.random.default_rng(6),
+                                TrafficParams(t_c=100.0, t_d=30.0, k=4.0), 10**7)
+        assert floats.dtype == np.int64 and np.array_equal(ints, floats)
+
     def test_cam_is_periodic(self):
         rng = np.random.default_rng(3)
         p = TrafficParams(t_c=100, lam=1e-9)
@@ -117,6 +176,35 @@ class TestConservation:
         st = runner(s, seed=5, replication=0, duration_s=15)
         for vid, (gen, tx, drop, queued) in st.per_vehicle.items():
             assert gen == tx + drop + queued
+        columns = list(zip(*st.per_vehicle.values()))
+        assert sorted(st.per_vehicle) == list(range(s.n))
+        assert (st.generated, st.dropped, st.in_queue_end) == (
+            sum(columns[0]), sum(columns[2]), sum(columns[3]))
+
+    @pytest.mark.parametrize("module", [sim_cv2x, sim_dot11p])
+    def test_each_vehicle_stream_comes_through_the_module_name(self, module, monkeypatch):
+        # the benchmark times arrival_stream by wrapping this name in each simulator
+        s = scenario(n=3)
+        plain = module.run_replication(s, seed=4, replication=0, duration_s=10)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return arrival_stream(*args, **kwargs)
+
+        monkeypatch.setattr(module, "arrival_stream", counting)
+        assert module.run_replication(s, seed=4, replication=0, duration_s=10) == plain
+        assert len(calls) == 3
+
+
+@pytest.mark.parametrize("duration_units, unit_us, cut", [
+    (60_000, 1000, 2000),                          # C-V2X subframes: WARMUP_S = 2 s
+    (4000, 1000, 1000),                            # at most a quarter of the run
+    (int(round(60e6 / 13)), 13, 153_846),          # 802.11p slots, rounded
+    (int(round(6e6 / 12.5)), 12.5, 120_000),       # a quarter of 6 s, in slots
+])
+def test_warmup_is_two_seconds_or_a_quarter_of_the_run(duration_units, unit_us, cut):
+    assert warmup_units(duration_units, unit_us) == cut
 
 
 class TestSingleVehicle:
