@@ -4,19 +4,20 @@ Time convention: one subframe = 1 ms. T_C and T_D are given in subframes,
 lambda in packets/s, t_tilde in seconds. 802.11p timing constants are in
 microseconds with aSlotTime = 13 us as the slot unit.
 
-The dataclasses are the one source of each config key, its type and its
-default. The key table, `parse_config` and `serialize_config` derive from
-their fields, and written lines and swept values share one setter.
+The dataclasses are the one source of each config key, its type, default
+and accepted range. The key table, the range check, `parse_config` and
+`serialize_config` derive from their fields; lines and sweeps share one setter.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Optional, get_type_hints
 
 from .errors import ConfigParseError
 
 STANDARD_WINDOWS = {100: (5, 15), 50: (10, 30), 20: (25, 75)}
+_MAX = math.nextafter(math.inf, 0)   # an unbounded range's high: inf and NaN still fail
 
 
 def rc_window(gamma):
@@ -24,28 +25,43 @@ def rc_window(gamma):
     return STANDARD_WINDOWS.get(gamma, (5, 15))
 
 
-@dataclass(frozen=True)
-class TrafficParams:
-    t_c: int = 100            # CAM inter-arrival, subframes
-    t_d: int = 100            # DENM repetition interval, subframes
-    k: int = 5                # DENM transmissions per event
-    lam: float = field(default=1.0, metadata={"key": "lambda"})   # DENM trigger intensity, /s
-    t_tilde: float = 0.001    # trigger window, seconds (one subframe)
-    m: int = 10               # queue capacity, packets
+def _param(default, low, high=_MAX, *, above=False, sweep=False, key=None):
+    """A field accepting low <= v <= high (low < v if `above`); `key` renames it in files."""
+    return field(default=default, metadata=dict(range=(low, high, above), sweep=sweep, key=key))
 
+
+def _describe(low, high, above, whole):
+    """An accepted range as error messages and the README write it."""
+    kind = "integer" if whole else "number"
+    if high == _MAX:
+        return f"{kind} {'>' if above else '>='} {low}"
+    return f"{kind} in {'(' if above else '['}{low}, {high}]"
+
+
+class _Ranged:
     def validate(self):
-        if self.t_c not in range(100, 1001):
-            raise ConfigParseError("T_C must be an integer in [100, 1000]", field="traffic.t_c")
-        if not (self.t_d >= 2 and self.t_d % 1 == 0):
-            raise ConfigParseError("T_D must be an integer >= 2", field="traffic.t_d")
-        if self.k not in range(1, 10):
-            raise ConfigParseError("K must be an integer in [1, 9]", field="traffic.k")
-        if self.lam <= 0:
-            raise ConfigParseError("lambda must be > 0", field="traffic.lambda")
-        if self.t_tilde <= 0:
-            raise ConfigParseError("t_tilde must be > 0", field="traffic.t_tilde")
-        if self.m < 1:
-            raise ConfigParseError("M must be >= 1", field="traffic.m")
+        """Check each field against the range it declares; raise ConfigParseError."""
+        for attr, key, low, high, above, whole in _RULES[type(self)]:
+            v = getattr(self, attr)
+            try:
+                if whole:
+                    operator.index(v)
+                ok = low < v <= high if above else low <= v <= high
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ConfigParseError(
+                    f"expected {_describe(low, high, above, whole)}, got {v!r}", field=key)
+
+
+@dataclass(frozen=True)
+class TrafficParams(_Ranged):
+    t_c: int = _param(100, 100, 1000, sweep=True)      # CAM inter-arrival, subframes
+    t_d: int = _param(100, 2, sweep=True)              # DENM repetition interval, subframes
+    k: int = _param(5, 1, 9, sweep=True)               # DENM transmissions per event
+    lam: float = _param(1.0, 0, above=True, sweep=True, key="lambda")  # DENM trigger intensity, /s
+    t_tilde: float = _param(0.001, 0, above=True)      # trigger window, seconds (one subframe)
+    m: int = _param(10, 1)                             # queue capacity, packets
 
     @property
     def sigma(self) -> float:
@@ -54,27 +70,18 @@ class TrafficParams:
 
 
 @dataclass(frozen=True)
-class Cv2xParams:
-    gamma: int = 100          # selection window, subframes
-    r_low: int = 5            # RC draw lower bound
-    r_high: int = 15          # RC draw upper bound
-    p_rk: float = 0.4         # resource-keep probability
-    p_sch: float = 1.0        # scheduling-success probability
-    csrs_per_subframe: int = 25
+class Cv2xParams(_Ranged):
+    gamma: int = _param(100, 2, sweep=True)            # selection window, subframes
+    r_low: int = _param(5, 1)                          # RC draw lower bound
+    r_high: int = _param(15, 1)                        # RC draw upper bound
+    p_rk: float = _param(0.4, 0, 0.8, sweep=True)      # resource-keep probability
+    p_sch: float = _param(1.0, 0, 1, above=True)       # scheduling-success probability
+    csrs_per_subframe: int = _param(25, 1)
 
     def validate(self):
-        if self.gamma < 2:
-            raise ConfigParseError("gamma must be >= 2 subframes", field="cv2x.gamma")
-        if not 1 <= self.r_low <= self.r_high:
-            raise ConfigParseError("need 1 <= r_low <= r_high", field="cv2x.r_low")
-        if not 0.0 <= self.p_rk <= 0.8:
-            raise ConfigParseError(
-                "p_rk must lie in the standard range [0, 0.8]", field="cv2x.p_rk")
-        if not 0.0 < self.p_sch <= 1.0:
-            raise ConfigParseError("p_sch must lie in (0, 1]", field="cv2x.p_sch")
-        if self.csrs_per_subframe < 1:
-            raise ConfigParseError("csrs_per_subframe must be >= 1",
-                                   field="cv2x.csrs_per_subframe")
+        super().validate()
+        if self.r_low > self.r_high:
+            raise ConfigParseError("need r_low <= r_high", field="cv2x.r_low")
 
     @property
     def csr_total(self) -> int:
@@ -83,23 +90,15 @@ class Cv2xParams:
 
 
 @dataclass(frozen=True)
-class Dot11pParams:
-    c_min: int = 15           # minimum contention window
-    aifsn: int = 6
-    slot_us: float = 13.0     # aSlotTime
-    sifs_us: float = 32.0     # aSIFSTime
-    tx_slots: int = 14        # slots to transmit one 134-byte packet on the 6 Mbps CCH
+class Dot11pParams(_Ranged):
+    c_min: int = _param(15, 3)                         # minimum contention window
+    aifsn: int = _param(6, 1)
+    slot_us: float = _param(13.0, 0, above=True)       # aSlotTime
+    sifs_us: float = _param(32.0, 0)                   # aSIFSTime
+    tx_slots: int = _param(14, 1)   # slots to transmit one 134-byte packet on the 6 Mbps CCH
 
     def validate(self):
-        if self.c_min < 3:
-            raise ConfigParseError("c_min must be >= 3", field="dot11p.c_min")
-        if self.aifsn < 1:
-            raise ConfigParseError("aifsn must be >= 1", field="dot11p.aifsn")
-        if self.slot_us <= 0 or self.sifs_us < 0:
-            raise ConfigParseError("slot_us must be > 0 and sifs_us >= 0",
-                                   field="dot11p.slot_us")
-        if self.tx_slots < 1:
-            raise ConfigParseError("tx_slots must be >= 1", field="dot11p.tx_slots")
+        super().validate()
         if self.omega < 2:
             raise ConfigParseError("AIFS must span at least 2 slots", field="dot11p.aifsn")
 
@@ -144,20 +143,19 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Ranged):
     tech: str = "both"        # cv2x | dot11p | both
-    n: int = 100              # vehicles in range
+    n: int = _param(100, 1, sweep=True)   # vehicles in range
     traffic: TrafficParams = field(default_factory=TrafficParams)
     cv2x: Cv2xParams = field(default_factory=Cv2xParams)
     dot11p: Dot11pParams = field(default_factory=Dot11pParams)
     adaptive_cam: bool = False
-    sweep: Optional[SweepSpec] = None
+    sweep: SweepSpec | None = None
 
     def validate(self):
         if self.tech not in ("cv2x", "dot11p", "both"):
             raise ConfigParseError("tech must be cv2x, dot11p or both", field="tech")
-        if self.n < 1:
-            raise ConfigParseError("n must be >= 1", field="n")
+        super().validate()
         self.traffic.validate()
         self.cv2x.validate()
         self.dot11p.validate()
@@ -173,29 +171,30 @@ class ScenarioConfig:
         return _assign(self, _SWEEPABLE[parameter], value).validate()
 
 
-def _keys(prefix, cls):
-    """(key, attribute, type) for each field of a dataclass; metadata "key" renames."""
-    hints = get_type_hints(cls)
-    return [(prefix + f.metadata.get("key", f.name), f.name, hints[f.name])
-            for f in fields(cls)]
+_TYPES = {"bool": bool, "int": int, "float": float, "str": str}   # annotation -> type
 
 
 def _key_table():
-    """key -> (section or None, attribute, type): the top-level scalars, then each section."""
-    top = _keys("", ScenarioConfig)
-    table = {key: (None, attr, typ) for key, attr, typ in top if typ in (bool, int, float, str)}
-    for section, _, cls in top:
-        if is_dataclass(cls):
-            table.update((key, (section, attr, typ))
-                         for key, attr, typ in _keys(section + ".", cls))
-    return table
+    """The key, range-rule and sweepable tables, read off the fields' declarations."""
+    keys, rules, sweepable = {}, {}, {}
+    sections = [(f.name, f.default_factory) for f in fields(ScenarioConfig)
+                if is_dataclass(f.default_factory)]
+    for section, cls in [(None, ScenarioConfig)] + sections:
+        for f in (f for f in fields(cls) if f.type in _TYPES):
+            name = f.metadata.get("key") or f.name
+            key = f"{section}.{name}" if section else name
+            keys[key] = (section, f.name, _TYPES[f.type])
+            if "range" in f.metadata:
+                rules.setdefault(cls, []).append(
+                    (f.name, key, *f.metadata["range"], f.type == "int"))
+            if f.metadata.get("sweep"):
+                sweepable[name] = key
+    return keys, rules, sweepable
 
 
-_FIELDS = _key_table()
-_SWEEP_FIELDS = {key: (attr, typ) for key, attr, typ in _keys("sweep.", SweepSpec)}
-_SWEEPABLE = {key.rpartition(".")[2]: key for key in (
-    "n", "traffic.t_c", "traffic.t_d", "traffic.k", "traffic.lambda", "cv2x.gamma",
-    "cv2x.p_rk")}
+_FIELDS, _RULES, _SWEEPABLE = _key_table()
+_SWEEP_FIELDS = {f"sweep.{f.metadata.get('key') or f.name}": (f.name, _TYPES[f.type])
+                 for f in fields(SweepSpec)}
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 

@@ -16,13 +16,17 @@ sorted list, and at each of its opportunities first moves the arrivals up
 to that subframe into its queue: the first M - len(queue) are queued and
 the rest dropped. A queue only shrinks at its own vehicle's opportunities,
 so this gives the queue and the drops that arrival-by-arrival queueing
-gives. The loop visits only subframes with an opportunity. With a trace
-sink it also visits every subframe with an arrival and queues those
-arrivals first, so that the trace comes out in time order.
+gives.
+
+Every next opportunity lies in (t, t + Gamma], so the schedule is a ring of
+Gamma + 1 buckets: subframe t's opportunities sit in bucket t % (Gamma + 1),
+which nothing appends to while it runs. The loop skips subframes with an
+empty bucket. With a trace sink it also visits every subframe with an
+arrival and queues those arrivals first, so that the trace comes out in
+time order.
 """
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from collections import deque
 
@@ -55,7 +59,6 @@ class _Vehicle:
 
 def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
                     duration_s: float, trace=None) -> ReplicationStats:
-    heappush, heappop = heapq.heappush, heapq.heappop
     p = scenario.cv2x
     m = scenario.traffic.m
     gamma, csrs = p.gamma, p.csrs_per_subframe
@@ -66,7 +69,8 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
 
     vehicles = []
     occupancy = np.zeros(n_cells)
-    ops = {}                  # subframe -> vids with an opportunity there, in scheduling order
+    ring = gamma + 1
+    ops = [[] for _ in range(ring)]   # bucket t % ring: vids with an opportunity at t, in order
     arriving = {}             # traced: subframe -> vehicles with an arrival there
     mac_rngs = []
     for vid in range(scenario.n):
@@ -77,7 +81,6 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
             v.kinds = rows[:, 1].tolist()
             for t in dict.fromkeys(v.arrivals):
                 arriving.setdefault(t, []).append(v)
-                ops.setdefault(t, [])
         # steady-state start: an existing announced reservation per vehicle
         offset = int(mac_rng.integers(0, gamma))
         csr = int(mac_rng.integers(0, csrs))
@@ -86,12 +89,9 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
         v.announced = True
         occupancy[v.cell] += 1
         v.own_history[v.cell] = 0
-        ops.setdefault(offset if offset > 0 else gamma, []).append(vid)
+        ops[offset if offset > 0 else gamma].append(vid)
         vehicles.append(v)
         mac_rngs.append(mac_rng)
-
-    when = list(ops)          # heap of the subframes in ops
-    heapq.heapify(when)
 
     def fill(v, t):
         """Queue v's arrivals up to subframe t while there is room; drop the rest."""
@@ -132,11 +132,11 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
 
     transmissions = collided = 0
     delay_sum = 0.0
-    while when:
-        t = heappop(when)
-        if t >= duration_ms:
-            break
-        todo = ops.pop(t)
+    for t in range(duration_ms):
+        todo = ops[t % ring]
+        if not todo and t not in arriving:
+            continue
+        ops[t % ring] = []
         for v in arriving.get(t, ()):
             fill(v, t)
         in_window = t >= warmup
@@ -175,12 +175,7 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
                               f"{offset}:{new_cell % csrs}:{v.rc}")
             else:
                 next_op = t + gamma  # RC held while the queue is empty
-            bucket = ops.get(next_op)
-            if bucket is None:
-                ops[next_op] = [vid]
-                heappush(when, next_op)
-            else:
-                bucket.append(vid)
+            ops[next_op % ring].append(vid)
 
         shared = ()           # cells that two or more transmissions share
         if len(sent) > 1 and len({cell for _, cell in sent}) < len(sent):
