@@ -26,15 +26,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .cv2x import Cv2xSolution
-from .dot11p import DelayTable, Dot11pSolution, check_omega, dot11p_stages
+from .dot11p import check_omega, dot11p_stages
 from .errors import NoConvergence, NonStochasticMatrix, UnknownChainKind
-from .traffic import GeneratorSolution, QueueSolution
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -218,42 +216,14 @@ def build_chain(kind: str, params: ScenarioConfig, coupling: CouplingInputs) -> 
                             labels={label: k for k, (label, _, _) in enumerate(states)})
 
 
-def _state_values(sol) -> Dict[str, Callable]:
-    """family -> (index -> value) for one closed-form solution."""
-    if isinstance(sol, GeneratorSolution):
-        return {"idle": lambda _: sol.pi_idle_denm, "tx": sol.pi_tx.__getitem__,
-                "txp": sol.pi_txp.__getitem__}
-    if isinstance(sol, QueueSolution):
-        return {"q": sol.pi.__getitem__}
-    if isinstance(sol, Cv2xSolution):
-        return {"idle": lambda _: sol.pi_idle, "w": sol.pi_w.__getitem__,
-                "rc": sol.pi_rc.__getitem__}
-    if isinstance(sol, Dot11pSolution):
-        # a backoff line's states share one value per stage
-        return {"idle": lambda _: sol.pi_idle, "a": lambda i: sol.pi_a[i - 1],
-                "b": lambda i: sol.pi_b[i - 1],
-                "bo": lambda sj: sol.pi_backoff_aifs[sj[0]],
-                "delta": lambda sj: sol.pi_delta[sj[0]],
-                "sense": sol.pi_sense.__getitem__, "txm": lambda i: sol.pi_tx[i - 1]}
-    if isinstance(sol, DelayTable):
-        return {"idle": lambda _: 0.0, "a": sol.aifs.__getitem__,
-                "b": sol.busy.__getitem__, "bo": sol.backoff_aifs.__getitem__,
-                "delta": sol.delta.__getitem__, "sense": sol.sense.__getitem__,
-                "txm": sol.tx.__getitem__}
-    raise TypeError(f"no state map for {type(sol).__name__}")
-
-
 def closed_form_states(kind: str, scenario: ScenarioConfig, solution) -> Dict[str, float]:
     """A closed-form solution of chain `kind` as {state label: value}.
 
-    The labels are those `build_chain(kind, scenario, ...)` gives its states.
-    `solution` is a solver's result: a GeneratorSolution (cam, denm), a
-    QueueSolution, a Cv2xSolution or a Dot11pSolution maps its steady state;
-    a DelayTable maps its per-state delays onto the 802.11p states, the idle
-    state having zero delay.
+    The labels are those `build_chain(kind, scenario, ...)` gives its states,
+    and each value is `solution.state(family, index)`: a solver's steady
+    state, or a DelayTable's per-state delays on the 802.11p states.
     """
-    value = _state_values(solution)
-    return {label: float(value[family](index))
+    return {label: solution.state(family, index)
             for label, family, index in _states(kind, scenario)}
 
 

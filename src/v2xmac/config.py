@@ -1,8 +1,8 @@
 """Scenario configuration: parameter dataclasses and the flat key=value file format.
 
 Time convention: one subframe = 1 ms. T_C and T_D are given in subframes,
-lambda in packets/s, t_tilde in seconds. 802.11p timing constants are in
-microseconds with aSlotTime = 13 us as the slot unit.
+lambda in packets/s. 802.11p timing constants are in microseconds with
+aSlotTime = 13 us as the slot unit.
 
 The dataclasses are the one source of each config key, its type, default
 and accepted range. The key table, the range check, `parse_config` and
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from .errors import ConfigParseError
 
 STANDARD_WINDOWS = {100: (5, 15), 50: (10, 30), 20: (25, 75)}
+SUBFRAME_US = 1000.0   # the generators, the queue and the DENM trigger step once per subframe
 _MAX = math.nextafter(math.inf, 0)   # an unbounded range's high: inf and NaN still fail
 
 
@@ -60,13 +61,13 @@ class TrafficParams(_Ranged):
     t_d: int = _param(100, 2, sweep=True)              # DENM repetition interval, subframes
     k: int = _param(5, 1, 9, sweep=True)               # DENM transmissions per event
     lam: float = _param(1.0, 0, above=True, sweep=True, key="lambda")  # DENM trigger intensity, /s
-    t_tilde: float = _param(0.001, 0, above=True)      # trigger window, seconds (one subframe)
     m: int = _param(10, 1)                             # queue capacity, packets
 
     @property
     def sigma(self) -> float:
-        """Per-subframe DENM trigger probability, 1 - exp(-lambda * t_tilde)."""
-        return -math.expm1(-self.lam * self.t_tilde)
+        """Per-subframe DENM trigger probability, 1 - exp(-lambda * 1 ms)."""
+        # SUBFRAME_US / 1e6 is the double nearest 0.001, so this is lambda * 0.001
+        return -math.expm1(-self.lam * (SUBFRAME_US / 1e6))
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,12 @@ class Dot11pParams(_Ranged):
 
     def validate(self):
         super().validate()
-        if self.omega < 2:
+        try:
+            short = self.omega < 2
+        except OverflowError:   # math.ceil of an AIFS of inf slots
+            raise ConfigParseError("AIFS spans more slots than a float can count",
+                                   field="dot11p.sifs_us") from None
+        if short:
             raise ConfigParseError("AIFS must span at least 2 slots", field="dot11p.aifsn")
 
     @property

@@ -12,13 +12,12 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
-from .config import Dot11pParams, ScenarioConfig
+from .config import SUBFRAME_US, Dot11pParams, ScenarioConfig
 from .cv2x import Cv2xSolution, solve_cv2x
 from .dot11p import Dot11pSolution, solve_dot11p, update_theta
 from .errors import InvalidArgument, NoFixedPoint
-from .traffic import (SUBFRAME_US, GeneratorSolution, QueueSolution,
-                      combine_transition_probs, per_slot_rate, per_subframe_prob,
-                      solve_cam, solve_denm, solve_queue)
+from .traffic import (GeneratorSolution, QueueSolution, combine_transition_probs,
+                      per_slot_rate, per_subframe_prob, solve_cam, solve_denm, solve_queue)
 
 TOLERANCE = 1e-10
 MAX_ITERATIONS = 200
@@ -228,11 +227,13 @@ def solve_coupled(tech: str, scenario: ScenarioConfig,
     bracket width shows. The report holds the sweep at that P_t, so its
     state is exactly what that sweep ran at, and `trace` every evaluated
     (P_t, f(P_t)) pair. `iterations` counts sweep evaluations, at most
-    `max_iterations`. Raises NoFixedPoint, with the trace attached, if f
-    keeps one sign to the end of the range or the budget runs out.
+    `max_iterations`. Raises ConfigParseError for a scenario that fails
+    `validate`, and NoFixedPoint, with the trace attached, if f keeps one
+    sign to the end of the range or the budget runs out.
     """
     if tech not in ("cv2x", "dot11p"):
         raise InvalidArgument(f"unknown technology {tech!r}")
+    scenario.validate()
     low, high = _search_range(tech, scenario)
     trace: List[Tuple[float, float]] = []
 

@@ -6,7 +6,7 @@ from typing import TYPE_CHECKING
 
 from .config import Cv2xParams
 from .errors import InvalidMass, SaturatedQueue
-from .lazy import Lazy
+from .lazy import state_array
 
 if TYPE_CHECKING:
     import numpy as np
@@ -14,33 +14,11 @@ if TYPE_CHECKING:
 _MASS_TOL = 1e-8
 
 
-def _pi_w(sol: Cv2xSolution) -> np.ndarray:
-    import numpy as np
-    g, p_rk, p_sch = sol.params.gamma, sol.params.p_rk, sol.params.p_sch
-    shape = (g - 1.0 - np.arange(g - 1)) / (g - 1.0)
-    return sol.w0 * (sol.a * sol.b * shape + shape * (1.0 - p_rk) * p_sch + p_rk)
-
-
-def _rc_first(sol: Cv2xSolution, i: int) -> float:
-    """pi_(i,0): w0 / p_qne below R_l, w0 n_i / (p_qne w_cnt) from R_l on."""
-    rl, rh = sol.params.r_low, sol.params.r_high
-    if i < rl:
-        return sol.w0 / sol.p_qne
-    return sol.w0 * (rh - i + 1) / (sol.p_qne * (1 + rh - rl))
-
-
-def _pi_rc(sol: Cv2xSolution) -> np.ndarray:
-    import numpy as np
-    g, rl, rh = sol.params.gamma, sol.params.r_low, sol.params.r_high
-    w_cnt, w0, p_qne = 1 + rh - rl, sol.w0, sol.p_qne
-    pi_rc = np.zeros((rh + 1, g))
-    for i in range(1, rh + 1):
-        pi_rc[i, 0] = _rc_first(sol, i)
-        if i >= rl:
-            pi_rc[i, 1:] = w0 * (rh - i + 1) / (p_qne ** 2 * w_cnt)
-        else:
-            pi_rc[i, 1:] = w0 / p_qne
-    return pi_rc
+def _rc_grid(sol: Cv2xSolution):
+    """pi_rc as nested rows, with row 0 as padding so that row i holds RC = i."""
+    g = sol.params.gamma
+    return [[0.0] * g] + [[sol.state("rc", (i, j)) for j in range(g)]
+                          for i in range(1, sol.params.r_high + 1)]
 
 
 @dataclass(frozen=True)
@@ -51,8 +29,7 @@ class Cv2xSolution:
     come from its family sums. pi_w[j] covers the waiting states (w, j),
     j in [0, Gamma-2]; pi_rc[i, j] covers the RC grid for i in [1, R_h] (row 0
     of the array is unused padding so indices match RC values),
-    j in [0, Gamma-1]. The arrays are built from the closed form when first
-    read.
+    j in [0, Gamma-1]. The arrays are built from `state` when first read.
     """
 
     pi_idle: float
@@ -63,13 +40,37 @@ class Cv2xSolution:
     a: float
     b: float
     w0: float
-    pi_w: np.ndarray = field(default=Lazy(_pi_w), compare=False, repr=False)
-    pi_rc: np.ndarray = field(default=Lazy(_pi_rc), compare=False, repr=False)
+    pi_w: np.ndarray = field(default=state_array(
+        lambda s: [s.state("w", j) for j in range(s.params.gamma - 1)]),
+        compare=False, repr=False)
+    pi_rc: np.ndarray = field(default=state_array(_rc_grid), compare=False, repr=False)
 
     @property
     def pi_10(self) -> float:
         """pi_(1,0), the RC = 1 opportunity state."""
-        return _rc_first(self, 1)
+        return self.state("rc", (1, 0))
+
+    def state(self, family: str, index) -> float:
+        """The probability of the idle state, of (w, j) or of (rc, (i, j)).
+
+        pi_(w,j) = w0 (a b s + s (1 - P_rk) P_sch + P_rk), s = (Gamma - 1 - j) / (Gamma - 1).
+        RC rows below R_l hold w0 / p_qne; from R_l on, pi_(i,0) = w0 n_i / (p_qne w_cnt)
+        for n_i = R_h - i + 1, and the gated countdown j >= 1 divides it by p_qne again.
+        """
+        if family == "idle":
+            return self.pi_idle
+        p = self.params
+        if family == "w":
+            shape = (p.gamma - 1.0 - index) / (p.gamma - 1.0)
+            return self.w0 * (self.a * self.b * shape + shape * (1.0 - p.p_rk) * p.p_sch
+                              + p.p_rk)
+        i, j = index
+        if i < p.r_low:
+            return self.w0 / self.p_qne
+        w_cnt = 1 + p.r_high - p.r_low
+        if j == 0:
+            return self.w0 * (p.r_high - i + 1) / (self.p_qne * w_cnt)
+        return self.w0 * (p.r_high - i + 1) / (self.p_qne ** 2 * w_cnt)
 
 
 def solve_cv2x(params: Cv2xParams, p_qne: float, p_arr: float) -> Cv2xSolution:
@@ -112,7 +113,7 @@ def _rc_rows(rl: int, rh: int):
 
 
 def _check_mass(sol: Cv2xSolution, low_rows: int, hi_rows: int):
-    """Sum-to-one and sign checks on the arrays `sol` builds, from their sums.
+    """Sum-to-one and sign checks on the states of `sol`, from their sums.
 
     pi_w is linear in shape = (Gamma - 1 - j) / (Gamma - 1), which runs from
     1 down to 1 / (Gamma - 1) and sums to Gamma / 2, so its extremes are its

@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict
 
 from .config import Dot11pParams
 from .errors import ChannelSaturated, InvalidArgument, ModelValidityError
-from .lazy import Lazy
+from .lazy import Lazy, state_array
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,47 +30,22 @@ def dot11p_stages(c_min: int):
     return [0] + list(range(2, c_min))
 
 
-def _pi_a(sol: Dot11pSolution) -> np.ndarray:
-    import numpy as np
-    return sol.h * (1.0 - sol.theta) ** np.arange(sol.params.omega) * sol.pi_idle
-
-
-def _pi_b(sol: Dot11pSolution) -> np.ndarray:
-    import numpy as np
-    th, om, theta = sol.params.tx_slots, sol.params.omega, sol.theta
-    i_b = np.arange(1, th + 1)
-    return sol.h * (theta / th * i_b - (1.0 - theta) ** om - theta + 1.0) * sol.pi_idle
-
-
-def _stage_scale(sol: Dot11pSolution) -> float:
-    return sol.f / (sol.params.c_min * (1.0 - sol.theta)) * sol.pi_idle
-
-
-def _stage_family(weight):
-    """A stage-keyed family f weight(s, C_min, theta) / (C_min (1 - theta)) pi_Idle."""
-    def build(sol: Dot11pSolution) -> Dict[int, float]:
-        cmin, theta, scale = sol.params.c_min, sol.theta, _stage_scale(sol)
-        return {s: weight(s, cmin, theta) * scale for s in dot11p_stages(cmin)}
-    return build
-
-
-def _sense_weight(s, cmin, theta):
-    return cmin - s
-
-
-def _delta_weight(s, cmin, theta):
-    return (cmin - s) * theta
-
-
 def _backoff_aifs_weight(s, cmin, theta):
     if s == 0:
         return 2.0 - 2.0 * theta + cmin * theta
     return 1.0 + (cmin - s - 1) * theta
 
 
-def _pi_tx(sol: Dot11pSolution) -> np.ndarray:
-    import numpy as np
-    return np.full(sol.params.tx_slots, sol.h * sol.pi_idle)
+def _line(family, length):
+    """A `Lazy` array of a family's states 1..length(params)."""
+    return state_array(lambda sol: [sol.state(family, i)
+                                    for i in range(1, length(sol.params) + 1)])
+
+
+def _per_stage(family):
+    """A `Lazy` dict of a stage-keyed family's value by stage; a row's states share it."""
+    return Lazy(lambda sol: {s: sol.state(family, s if family == "sense" else (s, 1))
+                             for s in dot11p_stages(sol.params.c_min)})
 
 
 @dataclass(frozen=True)
@@ -82,7 +57,7 @@ class Dot11pSolution:
     family sums. Stage-indexed families are dicts keyed by the
     existing backoff stages ({0} union [2, C_min - 1]); per-stage line values
     are constant along the line, so a single number is stored per stage. The
-    families are built from the closed form when first read.
+    families are built from `state` when first read.
     """
 
     pi_idle: float
@@ -92,22 +67,22 @@ class Dot11pSolution:
     h: float
     f: float
     pi_a: np.ndarray = field(                       # A_1..A_Omega
-        default=Lazy(_pi_a), compare=False, repr=False)
+        default=_line("a", lambda p: p.omega), compare=False, repr=False)
     pi_b: np.ndarray = field(                       # (B, 1..tx_slots)
-        default=Lazy(_pi_b), compare=False, repr=False)
+        default=_line("b", lambda p: p.tx_slots), compare=False, repr=False)
     pi_sense: Dict[int, float] = field(             # (I, s)
-        default=Lazy(_stage_family(_sense_weight)), compare=False, repr=False)
+        default=_per_stage("sense"), compare=False, repr=False)
     pi_delta: Dict[int, float] = field(             # (Delta_s, j), constant in j
-        default=Lazy(_stage_family(_delta_weight)), compare=False, repr=False)
+        default=_per_stage("delta"), compare=False, repr=False)
     pi_backoff_aifs: Dict[int, float] = field(      # (s, A_j)
-        default=Lazy(_stage_family(_backoff_aifs_weight)), compare=False, repr=False)
+        default=_per_stage("bo"), compare=False, repr=False)
     pi_tx: np.ndarray = field(                      # (Tx, 1..tx_slots)
-        default=Lazy(_pi_tx), compare=False, repr=False)
+        default=_line("txm", lambda p: p.tx_slots), compare=False, repr=False)
 
     @property
     def a_last(self) -> float:
         """pi_{A_Omega}: h (1 - theta)^(Omega - 1) pi_Idle."""
-        return self.h * (1.0 - self.theta) ** (self.params.omega - 1) * self.pi_idle
+        return self.state("a", self.params.omega)
 
     @property
     def tx_total(self) -> float:
@@ -117,7 +92,33 @@ class Dot11pSolution:
     @property
     def sense_first(self) -> float:
         """pi_{I,0}: f C_min / (C_min (1 - theta)) pi_Idle."""
-        return _sense_weight(0, self.params.c_min, self.theta) * _stage_scale(self)
+        return self.state("sense", 0)
+
+    def state(self, family: str, index) -> float:
+        """The probability of one state, named as `chains._states` names it.
+
+        Each is pi_Idle times h (1 - theta)^(i - 1) at A_i, h (theta i / tx_slots
+        - (1 - theta)^Omega - theta + 1) at (B, i) and h at (Tx, i). A stage-s row
+        takes f / (C_min (1 - theta)) times its stage weight at every j.
+        """
+        theta, p = self.theta, self.params
+        if family == "idle":
+            return self.pi_idle
+        if family == "a":
+            return self.h * (1.0 - theta) ** (index - 1) * self.pi_idle
+        if family == "b":
+            return (self.h * (theta / p.tx_slots * index - (1.0 - theta) ** p.omega
+                              - theta + 1.0) * self.pi_idle)
+        if family == "txm":
+            return self.h * self.pi_idle
+        cmin = p.c_min
+        if family == "sense":
+            weight = cmin - index
+        elif family == "delta":
+            weight = (cmin - index[0]) * theta
+        else:
+            weight = _backoff_aifs_weight(index[0], cmin, theta)
+        return weight * (self.f / (cmin * (1.0 - theta)) * self.pi_idle)
 
 
 def _line_sum(theta: float, n: int) -> float:
@@ -177,22 +178,45 @@ def update_theta(p_t: float, n: int) -> float:
 class DelayTable:
     """Expected slots from each non-idle state to the end of transmission.
 
-    Unit is aSlotTime; the idle state is defined to have zero delay.
+    Unit is aSlotTime; the idle state is defined to have zero delay. The
+    fields hold what the coupled recurrences give; `state` gives every state.
     """
 
     sense: Dict[int, float]                 # D_{I, s}
-    backoff_aifs: Dict[Tuple[int, int], float]   # D_{s, A_j}
-    delta: Dict[Tuple[int, int], float]     # D_{Delta_s, j}
     busy: Dict[int, float]                  # D_{B, i}
-    tx: Dict[int, float]                    # D_{Tx, i}
     aifs: Dict[int, float]                  # D_{A_i}
+    params: Dot11pParams
+
+    def state(self, family: str, index) -> float:
+        """The delay of one state, named as `chains._states` names it.
+
+        A backoff AIFS row and a busy-wait row count down one slot per step to
+        their stage's sensing state: D_{s, A_j} = (Omega - j) + D_{I,s} and
+        D_{Delta_s, j} = (tx_slots - j + 1) + (Omega - 1) + D_{I,s}. The Tx
+        line ends after D_{Tx, i} = tx_slots - i + 1 slots.
+        """
+        om, th = self.params.omega, self.params.tx_slots
+        if family == "idle":
+            return 0.0
+        if family == "a":
+            return self.aifs[index]
+        if family == "b":
+            return self.busy[index]
+        if family == "sense":
+            return self.sense[index]
+        if family == "txm":
+            return float(th - (index - 1))
+        s, j = index
+        if family == "bo":
+            return (om - j) + self.sense[s]
+        return (th - j + 1) + (om - 1) + self.sense[s]
 
 
 def delay_recurrences(params: Dot11pParams, theta: float):
     """(D_{I,s} by stage s, D_{B,i} by i, D_{A_i} by i): the coupled delay recurrences.
 
     The delays of the backoff, Delta and Tx rows follow from these in closed
-    form (`state_delays`); the mean delay D_{A_1} needs only these.
+    form (`DelayTable.state`); the mean delay D_{A_1} needs only these.
     """
     if not 0.0 <= theta < 1.0:
         raise ChannelSaturated(f"theta = {theta!r}; delays diverge at theta = 1")
@@ -222,13 +246,4 @@ def delay_recurrences(params: Dot11pParams, theta: float):
 
 def state_delays(params: Dot11pParams, theta: float) -> DelayTable:
     """Per-state delay recurrences of the 802.11p chain, solved exactly."""
-    d_sense, d_busy, d_aifs = delay_recurrences(params, theta)
-    om, th = params.omega, params.tx_slots
-    stages = dot11p_stages(params.c_min)
-    d_backoff_aifs = {(s, j): (om - j) + d_sense[s]
-                      for s in stages for j in range(1, om)}
-    d_delta = {(s, j): (th - j + 1) + (om - 1) + d_sense[s]
-               for s in stages for j in range(1, th + 1)}
-    d_tx = {i: float(th - (i - 1)) for i in range(1, th + 1)}
-    return DelayTable(sense=d_sense, backoff_aifs=d_backoff_aifs, delta=d_delta,
-                      busy=d_busy, tx=d_tx, aifs=d_aifs)
+    return DelayTable(*delay_recurrences(params, theta), params=params)

@@ -1,14 +1,14 @@
 """State arrays that a closed-form solution builds only when they are read.
 
-A solution's fields are its closed form: the few inputs from which every
-state value follows, and from which the fixed point and the metrics take
-their O(1) scalars. The full state arrays are read only by the oracle checks,
-the tests and library callers, and their builders import numpy. A `Lazy`
-field keeps such an array a normal dataclass field, built from the solution
-itself on first read. An array passed to the constructor or to
-`dataclasses.replace` is kept as given; the scalars never read it.
-(`replace` reads every field, so its copy keeps the original's arrays
-unless it is given new ones.)
+A solution's fields are its closed form, from which its `state(family,
+index)` gives each state's value: the one source of the oracle map, the
+O(1) scalars and these arrays. The full arrays are read only by the
+benchmark's checks, the tests and library callers; `state_array` builds
+them, the one place the solutions load numpy. A `Lazy` field keeps such an
+array a normal dataclass field, built on first read. An array passed to the
+constructor or to `dataclasses.replace` is kept as given; neither the
+scalars nor the oracle map read it. (`replace` reads every field, so its
+copy keeps the original's arrays unless it is given new ones.)
 
 Each such field is declared `field(default=Lazy(build), compare=False,
 repr=False)`. The arrays follow from the other fields, so equality and the
@@ -46,3 +46,14 @@ class Lazy:
         # the dataclass __init__ passes this default itself for an omitted field
         if value is not self:
             obj.__dict__[self._name] = value
+
+
+def state_array(values):
+    """A `Lazy` default: the numpy array of the nested list `values(solution)`.
+
+    `values` lists the solution's `state(family, index)` values in array order.
+    """
+    def build(sol):
+        import numpy as np
+        return np.array(values(sol))
+    return Lazy(build)

@@ -3,24 +3,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING
 
-from .config import TrafficParams
+from .config import SUBFRAME_US, TrafficParams
 from .errors import DegenerateQueue, DegenerateTransmitProbability, ModelValidityError
-from .lazy import Lazy
+from .lazy import state_array
 
 if TYPE_CHECKING:
     import numpy as np
-
-SUBFRAME_US = 1000.0  # the generators and the queue step once per 1 ms subframe
-
-
-def _generator_pi_tx(sol: GeneratorSolution) -> np.ndarray:
-    return _generator_arrays(sol.t_l, sol.p_t, sol.repeat_weight)[0] * sol.tx_first
-
-
-def _generator_pi_txp(sol: GeneratorSolution) -> np.ndarray:
-    return _generator_arrays(sol.t_l, sol.p_t, sol.repeat_weight)[1] * sol.tx_first
 
 
 @dataclass(frozen=True)
@@ -31,7 +21,7 @@ class GeneratorSolution:
     probability P_t, repeat_weight (1 for CAM, 1 - 1/K for DENM) and the
     three scalars the fixed point reads. pi_tx[j] is the probability of
     (tx, j), pi_txp[j] of (txp, j) for j in [0, T_l - 1]; both are built from
-    the closed form when first read. pi_idle_denm is the DENM idle-state mass
+    `state` when first read. pi_idle_denm is the DENM idle-state mass
     (0 for CAM).
     """
 
@@ -42,8 +32,10 @@ class GeneratorSolution:
     txp_first: float    # pi_txp[0]
     txp_tail: float     # the blocked row's mass beyond j = 0: sum of pi_txp[1:]
     pi_idle_denm: float = 0.0
-    pi_tx: np.ndarray = field(default=Lazy(_generator_pi_tx), compare=False, repr=False)
-    pi_txp: np.ndarray = field(default=Lazy(_generator_pi_txp), compare=False, repr=False)
+    pi_tx: np.ndarray = field(default=state_array(
+        lambda s: [s.state("tx", j) for j in range(s.t_l)]), compare=False, repr=False)
+    pi_txp: np.ndarray = field(default=state_array(
+        lambda s: [s.state("txp", j) for j in range(s.t_l)]), compare=False, repr=False)
 
     @property
     def generation_rate(self) -> float:
@@ -54,32 +46,31 @@ class GeneratorSolution:
         """
         return self.tx_first + self.txp_first
 
+    def state(self, family: str, index) -> float:
+        """The probability of the DENM idle state, of (tx, j) or of (txp, j).
 
-def _queue_masses(sol: QueueSolution) -> List[float]:
-    """The queue state probabilities 0..M; all on 0 at beta = 0, where nothing enters."""
-    alpha, alpha1, beta, m_cap = sol.alpha, sol.alpha1, sol.beta, sol.m_cap
-    if beta <= 0.0:
-        return [1.0] + [0.0] * m_cap
-    terms = [1.0]
-    term = alpha1 / beta
-    for _ in range(m_cap):
-        terms.append(term)
-        term *= alpha / beta
-    total = sum(terms)
-    return [t / total for t in terms]
-
-
-def _queue_pi(sol: QueueSolution) -> np.ndarray:
-    import numpy as np
-    return np.array(_queue_masses(sol))
+        With q = 1 - P_t, z = 1 - q^(T_l - 1) and w the repeat weight, relative
+        to pi_tx[0]: pi_txp[j] = w q^(T_l - j) / z, and for j >= 1 pi_tx[j] =
+        P_t (w + sum of pi_txp[l] over l > j) = w (P_t + q (1 - q^(T_l - 1 - j)) / z).
+        """
+        if family == "idle":
+            return self.pi_idle_denm
+        q = 1.0 - self.p_t
+        z = 1.0 - q ** (self.t_l - 1)
+        w = self.repeat_weight
+        if family == "txp":
+            return w * q ** (self.t_l - index) / z * self.tx_first
+        if index == 0:
+            return self.tx_first
+        return w * (self.p_t + q * (1.0 - q ** (self.t_l - 1 - index)) / z) * self.tx_first
 
 
 @dataclass(frozen=True)
 class QueueSolution:
     """Steady state of the device queue on 0..M.
 
-    The rates (alpha, alpha1, beta) and the capacity M are its closed form;
-    pi is built from them when first read.
+    The rates (alpha, alpha1, beta), the capacity M and P_qe = pi_0 are its
+    closed form; pi is built from `state` when first read.
     """
 
     p_qe: float
@@ -87,7 +78,8 @@ class QueueSolution:
     alpha1: float
     beta: float
     m_cap: int
-    pi: np.ndarray = field(default=Lazy(_queue_pi), compare=False, repr=False)
+    pi: np.ndarray = field(default=state_array(
+        lambda s: [s.state("q", i) for i in range(s.m_cap + 1)]), compare=False, repr=False)
 
     @property
     def p_qne(self) -> float:
@@ -95,35 +87,37 @@ class QueueSolution:
 
     @property
     def delay_sum(self) -> float:
-        """sum over i >= 1 of (2 i - 1) pi_i, the queue-position weights of the delay."""
-        pi = _queue_masses(self)
-        return sum((2 * i - 1) * pi[i] for i in range(1, len(pi)))
+        """sum over i >= 1 of (2 i - 1) pi_i, the queue-position weights of the delay.
 
+        The terms are normalized by their direct sum, not read from `state`,
+        whose P_qe-based values round differently: the C-V2X delays that
+        `solve` prints keep their bytes. Nothing enters the queue at beta = 0.
+        """
+        if self.beta <= 0.0:
+            return 0.0
+        terms = [1.0]
+        term = self.alpha1 / self.beta
+        for _ in range(self.m_cap):
+            terms.append(term)
+            term *= self.alpha / self.beta
+        total = sum(terms)
+        return sum((2 * i - 1) * (terms[i] / total) for i in range(1, len(terms)))
 
-def _generator_arrays(t_l: int, p_t: float, repeat_weight: float):
-    """Shared CAM/DENM tail structure; repeat_weight is 1 for CAM, (1-1/K) for DENM.
-
-    pi values are reported relative to pi_tx[0] = 1; the caller normalizes.
-    """
-    import numpy as np
-    q = 1.0 - p_t
-    z = 1.0 - q ** (t_l - 1)
-    j = np.arange(t_l)
-    txp = repeat_weight * np.power(q, t_l - j) / z
-    tx = np.empty(t_l)
-    tx[0] = 1.0
-    # tx[j] = P_t (repeat_weight + sum_{l > j} txp[l]) for j >= 1
-    tail = np.concatenate([np.cumsum(txp[::-1])[::-1][1:], [0.0]])
-    tx[1:] = p_t * (repeat_weight + tail[1:])
-    return tx, txp
+    def state(self, family: str, index: int) -> float:
+        """pi_i of queue length i: P_qe (alpha1 / beta) (alpha / beta)^(i - 1) for i >= 1."""
+        if index == 0:
+            return self.p_qe
+        if self.beta <= 0.0:
+            return 0.0
+        return self.p_qe * self.alpha1 / self.beta * (self.alpha / self.beta) ** (index - 1)
 
 
 def _generator_solution(t_l: int, p_t: float, repeat_weight: float, tx0: float,
                         pi_idle_denm: float = 0.0) -> GeneratorSolution:
-    """A generator's closed form, with the O(1) scalars of the arrays it builds.
+    """A generator's closed form, with the O(1) scalars the fixed point reads.
 
-    pi_txp[j] = w q^(T_l - j) / z for z = 1 - q^(T_l - 1), so its tail
-    j >= 1 is the geometric sum w q / (1 - q).
+    pi_txp[j] = w q^(T_l - j) / z for z = 1 - q^(T_l - 1) (`state`), so its
+    tail j >= 1 is the geometric sum w q / (1 - q).
     """
     q = 1.0 - p_t
     z = 1.0 - q ** (t_l - 1)

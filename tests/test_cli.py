@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from v2xmac import cli, sim
+from v2xmac.chains import CHAIN_KINDS, _states
 from v2xmac.cli import RECIPE_DIR, main, recipe_names
-from v2xmac.config import parse_config, serialize_config
+from v2xmac.config import ScenarioConfig, parse_config, serialize_config
 from v2xmac.errors import ConfigParseError
 
 DEFAULTS = """\
@@ -265,3 +266,29 @@ def test_solving_every_recipe_loads_no_numpy(tmp_path):
     """)
     assert fresh_interpreter(code).strip() == "[]"
     assert sorted(p.stem for p in tmp_path.glob("*.csv")) == recipe_names()
+
+
+def test_reading_every_state_loads_no_numpy():
+    # each solution's `state` is pure Python: every state of the five chains
+    # at the default fixed points, and every 802.11p delay, reads without numpy
+    s = ScenarioConfig()
+    states = {kind: [(family, index) for _, family, index in _states(kind, s)]
+              for kind in CHAIN_KINDS}
+    code = textwrap.dedent(f"""
+        import sys
+        from v2xmac.config import ScenarioConfig
+        from v2xmac.coupling import solve_coupled
+        from v2xmac.dot11p import state_delays
+        s, states = ScenarioConfig(), {states!r}
+        cv2x, dot11p = solve_coupled("cv2x", s), solve_coupled("dot11p", s)
+        solutions = dict(cam=cv2x.cam, denm=dot11p.denm, queue=cv2x.queue,
+                         cv2x=cv2x.cv2x, dot11p=dot11p.dot11p)
+        error = max(abs(sum(sol.state(*state) for state in states[kind]) - 1.0)
+                    for kind, sol in solutions.items())
+        delays = state_delays(s.dot11p, dot11p.dot11p.theta)
+        shortest = min(delays.state(*state) for state in states["dot11p"][1:])
+        print(error, shortest, {HEAVY_MODULES})
+    """)
+    error, shortest, loaded = fresh_interpreter(code).split(maxsplit=2)
+    assert float(error) < 1e-10 and float(shortest) >= 1.0
+    assert loaded.strip() == "[]"

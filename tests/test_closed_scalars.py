@@ -1,11 +1,12 @@
 """The O(1) scalars the fixed point and the metrics read against the state arrays built on demand.
 
 Each solution's fields are its closed form: the solver takes its scalars
-from family sums and builds its state arrays only when they are read. These
-properties check that the two agree, and that the validity errors fire on the
-same inputs as the array-based checks they replace. An array given explicitly
-is kept as given and reaches the oracle map, while the scalars still come
-from the closed form.
+from family sums, and `state` gives each state's value from the fields, from
+which the state arrays are built only when they are read. These properties
+check that the scalars and the arrays agree, and that the validity errors
+fire on the same inputs as the array-based checks they replace. An array
+given explicitly is kept as given, but neither the scalars nor the oracle
+map read it; a changed closed-form field reaches both.
 """
 import dataclasses
 import itertools
@@ -194,30 +195,34 @@ def test_cv2x_rejects_the_same_inputs(gamma, r_low, r_high, p_rk, p_sch, p_qne, 
 
 
 # ------------------------------------------------------ explicit arrays
-# The benchmark's oracle check corrupts one state through dataclasses.replace
-# and must see the corruption; the scalars must not.
-def test_a_replaced_rc_grid_reaches_the_oracle_map_not_the_scalars():
+# The benchmark's oracle check reads the arrays and corrupts one of them
+# through dataclasses.replace, so a replaced array is kept as given; the
+# scalars and the oracle map read the closed-form fields through `state`.
+def test_a_replaced_array_is_kept_as_given():
     s = ScenarioConfig()
-    sol = solve_cv2x(s.cv2x, 0.6, 0.2)
-    rc = sol.pi_rc.copy()
+    cv2x, dot11p = solve_cv2x(s.cv2x, 0.6, 0.2), solve_dot11p(s.dot11p, 0.6, 0.3)
+    rc = cv2x.pi_rc.copy()
     rc[1, 0] *= 2.0
-    changed = dataclasses.replace(sol, pi_rc=rc)
-    assert changed.pi_rc is rc
-    assert closed_form_states("cv2x", s, changed)["rc,1,0"] == rc[1, 0]
-    assert changed.pi_10 == sol.pi_10 == sol.pi_rc[1, 0]
-    assert (changed.p_txo, changed.p_t) == (sol.p_txo, sol.p_t)
-
-
-def test_a_replaced_sensing_family_reaches_the_oracle_map_not_the_scalars():
-    s = ScenarioConfig()
-    sol = solve_dot11p(s.dot11p, 0.6, 0.3)
-    sense = dict(sol.pi_sense)
+    sense = dict(dot11p.pi_sense)
     sense[0] *= 4.0
-    changed = dataclasses.replace(sol, pi_sense=sense)
-    assert changed.pi_sense is sense
-    assert closed_form_states("dot11p", s, changed)["sense,0"] == sense[0]
-    assert changed.sense_first == sol.sense_first == sol.pi_sense[0]
-    assert changed.p_t == sol.p_t
+    changed_rc = dataclasses.replace(cv2x, pi_rc=rc)
+    changed_sense = dataclasses.replace(dot11p, pi_sense=sense)
+    assert changed_rc.pi_rc is rc and changed_sense.pi_sense is sense
+    assert closed_form_states("cv2x", s, changed_rc) == closed_form_states("cv2x", s, cv2x)
+    assert changed_rc.pi_10 == cv2x.pi_10 == cv2x.pi_rc[1, 0]
+    assert (changed_rc.p_txo, changed_rc.p_t) == (cv2x.p_txo, cv2x.p_t)
+    assert changed_sense.sense_first == dot11p.sense_first == dot11p.pi_sense[0]
+    assert changed_sense.p_t == dot11p.p_t
+
+
+def test_a_replaced_closed_form_field_reaches_the_oracle_map():
+    s = ScenarioConfig()
+    cv2x, dot11p = solve_cv2x(s.cv2x, 0.6, 0.2), solve_dot11p(s.dot11p, 0.6, 0.3)
+    states = closed_form_states("cv2x", s, dataclasses.replace(cv2x, w0=2.0 * cv2x.w0))
+    assert states["rc,1,0"] == 2.0 * cv2x.pi_rc[1, 0]
+    states = closed_form_states("dot11p", s, dataclasses.replace(dot11p, h=0.5 * dot11p.h))
+    assert states["a,1"] == 0.5 * dot11p.pi_a[0]
+    assert states["txm,1"] == 0.5 * dot11p.pi_tx[0]
 
 
 def _solutions():

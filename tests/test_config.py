@@ -18,8 +18,7 @@ from v2xmac.sim import run_sim
 
 KEYS = [
     "tech", "n", "adaptive_cam",
-    "traffic.t_c", "traffic.t_d", "traffic.k", "traffic.lambda", "traffic.t_tilde",
-    "traffic.m",
+    "traffic.t_c", "traffic.t_d", "traffic.k", "traffic.lambda", "traffic.m",
     "cv2x.gamma", "cv2x.r_low", "cv2x.r_high", "cv2x.p_rk", "cv2x.p_sch",
     "cv2x.csrs_per_subframe",
     "dot11p.c_min", "dot11p.aifsn", "dot11p.slot_us", "dot11p.sifs_us", "dot11p.tx_slots",
@@ -87,8 +86,6 @@ def reference_traffic(t):
         raise ConfigParseError("K must be an integer in [1, 9]", field="traffic.k")
     if t.lam <= 0:
         raise ConfigParseError("lambda must be > 0", field="traffic.lambda")
-    if t.t_tilde <= 0:
-        raise ConfigParseError("t_tilde must be > 0", field="traffic.t_tilde")
     if t.m < 1:
         raise ConfigParseError("M must be >= 1", field="traffic.m")
 
@@ -138,7 +135,6 @@ NEAR_BOUNDS = {
     "traffic.t_d": [1, 2, 3, 100],
     "traffic.k": [0, 1, 2, 5, 8, 9, 10],
     "traffic.lambda": [-1.0, -TINY, 0.0, TINY, 1.0, 1e300],
-    "traffic.t_tilde": [-1.0, -TINY, 0.0, TINY, 0.001, 1e300],
     "traffic.m": [-1, 0, 1, 2, 10],
     "cv2x.gamma": [1, 2, 3, 100],
     "cv2x.r_low": [0, 1, 2, 5, 15, 16],
@@ -149,7 +145,8 @@ NEAR_BOUNDS = {
     "cv2x.csrs_per_subframe": [0, 1, 2, 25],
     "dot11p.c_min": [2, 3, 4, 15],
     "dot11p.aifsn": [0, 1, 2, 6],
-    # a slot of TINY us makes the default AIFS overflow a float; both validators crash there
+    # a slot of TINY us makes the default AIFS overflow a float, where the
+    # reference crashes (test_aifs_beyond_a_float_names_the_field)
     "dot11p.slot_us": [-1.0, -TINY, 0.0, 1e-6, 13.0, 1e300],
     "dot11p.sifs_us": [-1.0, -TINY, 0.0, TINY, 32.0, 1e6],
     "dot11p.tx_slots": [0, 1, 2, 14],
@@ -227,7 +224,7 @@ class TestDeclaredRanges:
         assert set_key(cfg, key, np.int64(default)).validate() == cfg
 
     @pytest.mark.parametrize("key, value", [
-        ("traffic.lambda", math.nan), ("traffic.m", math.nan), ("traffic.t_tilde", math.nan),
+        ("traffic.lambda", math.nan), ("traffic.m", math.nan),
         ("dot11p.slot_us", math.nan), ("n", 3.5), ("traffic.m", 2.5), ("cv2x.gamma", 20.5),
         ("n", 20.0), ("traffic.m", 10.0), ("cv2x.gamma", 100.0),
         ("cv2x.csrs_per_subframe", 25.0), ("dot11p.c_min", 15.0), ("dot11p.tx_slots", 14.0),
@@ -246,6 +243,27 @@ class TestDeclaredRanges:
             with pytest.raises(ConfigParseError) as err:
                 call()
             assert err.value.field == key
+
+    @pytest.mark.parametrize("sifs_us, slot_us", [(1e308, 1e-3), (32.0, TINY)])
+    def test_aifs_beyond_a_float_names_the_field(self, sifs_us, slot_us):
+        # (sifs_us + aifsn * slot_us) / slot_us is inf, which math.ceil cannot round
+        params = Dot11pParams(sifs_us=sifs_us, slot_us=slot_us)
+        for obj in (params, ScenarioConfig(dot11p=params)):
+            with pytest.raises(ConfigParseError) as err:
+                obj.validate()
+            assert err.value.field == "dot11p.sifs_us"
+
+
+class TestDenmTrigger:
+    def test_the_trigger_window_is_one_subframe(self):
+        with pytest.raises(ConfigParseError) as err:
+            parse_config("traffic.t_tilde=0.001\n")
+        assert err.value.field == "traffic.t_tilde"
+
+    @given(st.floats(min_value=5e-324, max_value=1e300))
+    @settings(max_examples=300, deadline=None)
+    def test_sigma_is_lambda_times_one_millisecond(self, lam):
+        assert TrafficParams(lam=lam).sigma == -math.expm1(-lam * 0.001)
 
 
 SWEPT_VALUES = st.one_of(

@@ -4,12 +4,12 @@ import pytest
 import dataclasses
 
 from chain_helpers import scenario
-from v2xmac.config import Dot11pParams
+from v2xmac.config import Dot11pParams, ScenarioConfig
 from v2xmac.coupling import (CouplingState, adaptive_cam_rate,
                              conserving_idle_exit, resolve_adaptive_t_c,
                              solve_coupled, _sweep)
 from v2xmac.dot11p import solve_dot11p, update_theta
-from v2xmac.errors import NoFixedPoint
+from v2xmac.errors import ConfigParseError, NoFixedPoint
 
 
 def _dot11p_flows(rep, s):
@@ -165,6 +165,14 @@ class TestSolveCoupled:
     def test_unknown_tech(self):
         with pytest.raises(ValueError):
             solve_coupled("wimax", scenario())
+
+    @pytest.mark.parametrize("tech", ["cv2x", "dot11p"])
+    @pytest.mark.parametrize("n", [3.5, 20.0])
+    def test_unvalidated_scenario_is_refused(self, tech, n):
+        # n must be an integer; the solve refuses it rather than return a P_t
+        with pytest.raises(ConfigParseError) as err:
+            solve_coupled(tech, ScenarioConfig(n=n))
+        assert err.value.field == "n"
 
 
 class TestConservingIdleExit:

@@ -90,8 +90,8 @@ FROZEN_DELAYS = [
 class TestStateDelays:
     def test_transmission_delay_is_tx_slots(self):
         t = state_delays(Dot11pParams(), 0.3)
-        assert t.tx[1] == 14.0
-        assert t.tx[14] == 1.0
+        assert t.state("txm", 1) == 14.0
+        assert t.state("txm", 14) == 1.0
 
     def test_idle_channel_first_sensing_delay(self):
         t = state_delays(Dot11pParams(), 0.0)
@@ -103,18 +103,21 @@ class TestStateDelays:
 
     @pytest.mark.parametrize("theta", [0.0, 0.2, 0.5, 0.8])
     def test_nonnegative(self, theta):
-        t = state_delays(Dot11pParams(), theta)
-        for table in (t.sense, t.busy, t.tx, t.aifs):
+        s = ScenarioConfig()
+        t = state_delays(s.dot11p, theta)
+        for table in (t.sense, t.busy, t.aifs):
             assert all(v >= 0.0 for v in table.values())
-        assert all(v >= 0.0 for v in t.backoff_aifs.values())
-        assert all(v >= 0.0 for v in t.delta.values())
+        delays = closed_form_states("dot11p", s, t)
+        for family in ("txm", "bo", "delta"):
+            assert all(v >= 0.0 for label, v in delays.items()
+                       if label.startswith(family + ","))
 
     def test_nondecreasing_in_theta(self):
         grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
         prev = None
         for theta in grid:
             t = state_delays(Dot11pParams(), theta)
-            cur = (t.sense[0], t.busy[1], t.aifs[1], t.delta[(2, 1)])
+            cur = (t.sense[0], t.busy[1], t.aifs[1], t.state("delta", (2, 1)))
             if prev is not None:
                 assert all(c >= p for c, p in zip(cur, prev))
             prev = cur

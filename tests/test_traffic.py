@@ -10,8 +10,8 @@ from chain_helpers import coupling, oracle_gap, scenario
 from v2xmac.chains import closed_form_states
 from v2xmac.config import ScenarioConfig, TrafficParams
 from v2xmac.coupling import solve_coupled
-from v2xmac.errors import (DegenerateQueue, DegenerateTransmitProbability,
-                           ModelValidityError)
+from v2xmac.errors import (ConfigParseError, DegenerateQueue,
+                           DegenerateTransmitProbability, ModelValidityError)
 from v2xmac.traffic import (combine_transition_probs, per_slot_rate,
                             per_subframe_prob, solve_cam, solve_denm,
                             solve_queue)
@@ -71,12 +71,12 @@ class TestDenm:
 
     @pytest.mark.parametrize("tech", ["cv2x", "dot11p"])
     def test_coupled_solve_rejects_t_d_one(self, tech):
-        with pytest.raises(ModelValidityError):
+        with pytest.raises(ConfigParseError):
             solve_coupled(tech, ScenarioConfig(n=50, traffic=TrafficParams(t_d=1)))
 
     def test_instant_retrigger_limit(self):
-        # lambda * t_tilde -> inf with K=1 alternates idle <-> transmit
-        p = TrafficParams(k=1, lam=1.0, t_tilde=1e9)
+        # lambda * 1 ms -> inf with K=1 alternates idle <-> transmit
+        p = TrafficParams(k=1, lam=1e12)
         sol = solve_denm(p, 0.3)
         assert abs(sol.pi_tx[0] - 0.5) < 1e-9
 
