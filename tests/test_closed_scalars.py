@@ -198,21 +198,28 @@ def test_cv2x_rejects_the_same_inputs(gamma, r_low, r_high, p_rk, p_sch, p_qne, 
 # The benchmark's oracle check reads the arrays and corrupts one of them
 # through dataclasses.replace, so a replaced array is kept as given; the
 # scalars and the oracle map read the closed-form fields through `state`.
-def test_a_replaced_array_is_kept_as_given():
+def test_a_replaced_rc_grid_reaches_neither_the_oracle_map_nor_the_scalars():
     s = ScenarioConfig()
-    cv2x, dot11p = solve_cv2x(s.cv2x, 0.6, 0.2), solve_dot11p(s.dot11p, 0.6, 0.3)
-    rc = cv2x.pi_rc.copy()
+    sol = solve_cv2x(s.cv2x, 0.6, 0.2)
+    rc = sol.pi_rc.copy()
     rc[1, 0] *= 2.0
-    sense = dict(dot11p.pi_sense)
+    changed = dataclasses.replace(sol, pi_rc=rc)
+    assert changed.pi_rc is rc
+    assert closed_form_states("cv2x", s, changed) == closed_form_states("cv2x", s, sol)
+    assert changed.pi_10 == sol.pi_10 == sol.pi_rc[1, 0]
+    assert (changed.p_txo, changed.p_t) == (sol.p_txo, sol.p_t)
+
+
+def test_a_replaced_sensing_family_reaches_neither_the_oracle_map_nor_the_scalars():
+    s = ScenarioConfig()
+    sol = solve_dot11p(s.dot11p, 0.6, 0.3)
+    sense = dict(sol.pi_sense)
     sense[0] *= 4.0
-    changed_rc = dataclasses.replace(cv2x, pi_rc=rc)
-    changed_sense = dataclasses.replace(dot11p, pi_sense=sense)
-    assert changed_rc.pi_rc is rc and changed_sense.pi_sense is sense
-    assert closed_form_states("cv2x", s, changed_rc) == closed_form_states("cv2x", s, cv2x)
-    assert changed_rc.pi_10 == cv2x.pi_10 == cv2x.pi_rc[1, 0]
-    assert (changed_rc.p_txo, changed_rc.p_t) == (cv2x.p_txo, cv2x.p_t)
-    assert changed_sense.sense_first == dot11p.sense_first == dot11p.pi_sense[0]
-    assert changed_sense.p_t == dot11p.p_t
+    changed = dataclasses.replace(sol, pi_sense=sense)
+    assert changed.pi_sense is sense
+    assert closed_form_states("dot11p", s, changed) == closed_form_states("dot11p", s, sol)
+    assert changed.sense_first == sol.sense_first == sol.pi_sense[0]
+    assert changed.p_t == sol.p_t
 
 
 def test_a_replaced_closed_form_field_reaches_the_oracle_map():
