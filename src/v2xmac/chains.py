@@ -181,6 +181,7 @@ def _states(kind: str, params: ScenarioConfig) -> List[Tuple[str, str, object]]:
                    for i in range(1, rh + 1) for j in range(g)])
     if kind == "dot11p":
         p = params.dot11p
+        check_omega(p)
         om, th = p.omega, p.tx_slots
         stages = dot11p_stages(p.c_min)
         return ([("idle", "idle", None)]
@@ -332,7 +333,6 @@ def _build_dot11p(m, at, params: ScenarioConfig, c: CouplingInputs):
     states (I, s) chain down on idle slots, skipping the absent stage 1.
     """
     p = params.dot11p
-    check_omega(p)
     cmin, om, th = p.c_min, p.omega, p.tx_slots
     theta = c.theta
     stages = dot11p_stages(cmin)

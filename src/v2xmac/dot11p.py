@@ -14,14 +14,18 @@ if TYPE_CHECKING:
 
 
 def check_omega(params: Dot11pParams):
-    """Reject an AIFS shorter than 2 slots, outside the chain's domain.
+    """Reject an AIFS shorter than 2 slots, or too long to count, outside the chain's domain.
 
     Every backoff stage re-enters through its AIFS rows (s, A_1) ..
     (s, A_{Omega-1}), and the delay of A_1 runs through A_2.
-    `Dot11pParams.validate` enforces the same bound.
+    `Dot11pParams.validate` enforces the same bounds.
     """
-    if params.omega < 2:
-        raise ModelValidityError(f"Omega = {params.omega}; the 802.11p chain needs "
+    try:
+        omega = params.omega
+    except OverflowError:   # math.ceil of an AIFS of inf slots
+        raise ModelValidityError("the AIFS spans more slots than a float can count") from None
+    if omega < 2:
+        raise ModelValidityError(f"Omega = {omega}; the 802.11p chain needs "
                                  "an AIFS of at least 2 slots")
 
 

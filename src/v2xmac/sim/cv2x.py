@@ -7,52 +7,43 @@ occupancy: a reservation becomes visible to others at the first transmission
 on the new cell, so vehicles reselecting in overlapping windows can pick the
 same cell, which is the modeled collision mechanism.
 
-Within a subframe, arrivals are queued before opportunities, and
-opportunities run in the order they were scheduled, which fixes the
-occupancy each reselection sees.
-
-Arrivals are not events. Each vehicle keeps its arrival subframes as one
-sorted list, and at each of its opportunities first moves the arrivals up
-to that subframe into its queue: the first M - len(queue) are queued and
-the rest dropped. A queue only shrinks at its own vehicle's opportunities,
-so this gives the queue and the drops that arrival-by-arrival queueing
-gives.
+Arrivals come in the one order of all vehicles' arrivals that
+`traffic.merge_arrivals` builds up front, sorted by (subframe, vid) and in
+stream order within one vehicle's subframe. At each subframe with an
+arrival or an opportunity, the loop first queues that subframe's
+arrivals, each while fewer than M packets are queued and dropped
+otherwise, then runs its opportunities in the order they were scheduled,
+which fixes the occupancy each reselection sees.
 
 Every next opportunity lies in (t, t + Gamma], so the schedule is a ring of
 Gamma + 1 buckets: subframe t's opportunities sit in bucket t % (Gamma + 1),
-which nothing appends to while it runs. The loop skips subframes with an
-empty bucket. With a trace sink it also visits every subframe with an
-arrival and queues those arrivals first, so that the trace comes out in
-time order.
+which nothing appends to while it runs.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 
 import numpy as np
 
 from ..config import ScenarioConfig
 from .report import ReplicationStats, warmup_units
-from .traffic import KINDS, arrival_stream, vehicle_rngs
+from .traffic import KINDS, arrival_stream, merge_arrivals, vehicle_rngs
 
 SENSING_WINDOW_MS = 1000
 
 
 class _Vehicle:
-    __slots__ = ("vid", "queue", "arrivals", "kinds", "arr_idx", "cell", "rc",
-                 "announced", "own_history", "dropped", "transmitted")
+    __slots__ = ("vid", "queue", "cell", "rc", "announced", "own_history",
+                 "generated", "dropped", "transmitted")
 
-    def __init__(self, vid, arrivals):
+    def __init__(self, vid):
         self.vid = vid
         self.queue = deque()      # generation subframes of the queued packets
-        self.arrivals = arrivals  # subframes of its arrivals, sorted
-        self.kinds = None         # traced: the kind of each arrival
-        self.arr_idx = 0          # arrivals before it are queued or dropped
         self.cell = -1
         self.rc = 0
         self.announced = False
         self.own_history = {}  # cell -> last used subframe
+        self.generated = 0
         self.dropped = 0
         self.transmitted = 0
 
@@ -71,16 +62,12 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
     occupancy = np.zeros(n_cells)
     ring = gamma + 1
     ops = [[] for _ in range(ring)]   # bucket t % ring: vids with an opportunity at t, in order
-    arriving = {}             # traced: subframe -> vehicles with an arrival there
     mac_rngs = []
+    streams = []              # per vehicle, its (time_us, kind) arrival rows
     for vid in range(scenario.n):
         traffic_rng, mac_rng = vehicle_rngs(seed, replication, vid)
-        rows = arrival_stream(traffic_rng, scenario.traffic, duration_ms * 1000)
-        v = _Vehicle(vid, (rows[:, 0] // 1000).tolist())
-        if trace is not None:
-            v.kinds = rows[:, 1].tolist()
-            for t in dict.fromkeys(v.arrivals):
-                arriving.setdefault(t, []).append(v)
+        streams.append(arrival_stream(traffic_rng, scenario.traffic, duration_ms * 1000))
+        v = _Vehicle(vid)
         # steady-state start: an existing announced reservation per vehicle
         offset = int(mac_rng.integers(0, gamma))
         csr = int(mac_rng.integers(0, csrs))
@@ -93,29 +80,11 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
         vehicles.append(v)
         mac_rngs.append(mac_rng)
 
-    def fill(v, t):
-        """Queue v's arrivals up to subframe t while there is room; drop the rest."""
-        arrivals = v.arrivals
-        i = v.arr_idx
-        j = bisect_right(arrivals, t, i)
-        if j == i:
-            return
-        v.arr_idx = j
-        queue = v.queue
-        keep = i + m - len(queue)     # arrivals before index keep find room
-        if trace is not None:
-            for k in range(i, j):
-                at = arrivals[k] * 1000
-                trace(at, v.vid, "generation", KINDS[v.kinds[k]])
-                if k < keep:
-                    trace(at, v.vid, "enqueue", str(len(queue) + k - i + 1))
-                else:
-                    trace(at, v.vid, "drop", "")
-        if keep >= j:
-            queue.extend(arrivals[i:j])
-        else:
-            queue.extend(arrivals[i:keep])
-            v.dropped += j - keep
+    subframes, vids, kinds = merge_arrivals(streams, 1000)
+    order = np.lexsort((vids, subframes))   # stable: stream order within a subframe
+    arr_t, arr_vids, arr_kinds = (col[order].tolist() for col in (subframes, vids, kinds))
+    del subframes, vids, kinds, order
+    arr_t.append(duration_ms)   # a sentinel ends the arrivals
 
     def select_new_cell(v, rng, now):
         """SPS steps 1-3 with occupancy standing in for RSSI sensing.
@@ -132,18 +101,31 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
 
     transmissions = collided = 0
     delay_sum = 0.0
+    ai = 0
     for t in range(duration_ms):
+        while arr_t[ai] == t:
+            vid = arr_vids[ai]
+            v = vehicles[vid]
+            v.generated += 1
+            if trace is not None:
+                trace(t * 1000, vid, "generation", KINDS[arr_kinds[ai]])
+            ai += 1
+            if len(v.queue) < m:
+                v.queue.append(t)
+                if trace is not None:
+                    trace(t * 1000, vid, "enqueue", str(len(v.queue)))
+            else:
+                v.dropped += 1
+                if trace is not None:
+                    trace(t * 1000, vid, "drop", "")
         todo = ops[t % ring]
-        if not todo and t not in arriving:
+        if not todo:
             continue
         ops[t % ring] = []
-        for v in arriving.get(t, ()):
-            fill(v, t)
         in_window = t >= warmup
         sent = []             # (vid, cell) of this subframe's transmissions
         for vid in todo:
             v = vehicles[vid]
-            fill(v, t)
             if not v.announced:
                 occupancy[v.cell] += 1  # first SCI on the new cell
                 v.announced = True
@@ -199,6 +181,5 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
                              successful=transmissions - collided,
                              window_units=duration_ms - warmup)
     for v in vehicles:
-        fill(v, duration_ms)
-        stats.count_vehicle(v.vid, len(v.arrivals), v.transmitted, v.dropped, len(v.queue))
+        stats.count_vehicle(v.vid, v.generated, v.transmitted, v.dropped, len(v.queue))
     return stats

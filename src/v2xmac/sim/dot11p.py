@@ -13,8 +13,8 @@ Idle slots cost no events, and neither do backoff countdowns or the ends
 of transmissions. Only a burst start changes what a sensing vehicle sees,
 so each countdown is kept as the slot on which it would transmit, and the
 next burst starts on the earliest of them. The events left are arrivals,
-in one order sorted up front, the first slots of AIFS lines, on a heap,
-and burst starts.
+in the one order that `traffic.merge_arrivals` builds up front, the first
+slots of AIFS lines, on a heap, and burst starts.
 
 An AIFS line starts one slot after its packet's arrival, or one idle-state
 slot after the vehicle's own transmission ends; an arrival during that
@@ -45,7 +45,8 @@ STAGE_BATCH at a time, and has one countdown at a time, so when a draw
 happens changes no value.
 
 Within a slot a burst start comes first, then the first slots of AIFS
-lines in vehicle order, then arrivals.
+lines in vehicle order, then arrivals in vehicle order, a vehicle's CAM
+before its DENM.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ import numpy as np
 from ..config import ScenarioConfig
 from ..errors import SimulatorInvariant
 from .report import ReplicationStats, warmup_units
-from .traffic import KINDS, arrival_stream, vehicle_rngs
+from .traffic import KINDS, arrival_stream, merge_arrivals, vehicle_rngs
 
 STAGE_BATCH = 64      # backoff draws taken from a vehicle's stream at a time
 
@@ -66,24 +67,6 @@ def _backoff_delays(rng, c_min):
     """Slots from each backoff's wait to its transmission: max(u, 1), u ~ U{0..C_min-1}."""
     while True:
         yield from np.maximum(rng.integers(0, c_min, size=STAGE_BATCH), 1).tolist()
-
-
-def _arrival_order(streams, slot_us):
-    """Slots, vehicles and kinds of all arrivals as three lists in (slot, vid, kind) order.
-
-    streams[vid] holds the (time_us, kind) rows of vehicle vid's arrivals,
-    as `arrival_stream` returns them. The list is emptied as soon as it is
-    read, to lower the peak memory of a replication.
-    """
-    counts = [len(a) for a in streams]
-    t_kind = np.concatenate(streams)
-    streams.clear()
-    slots = (t_kind[:, 0] // slot_us).astype(np.int64)
-    kinds = t_kind[:, 1].astype(np.int8)
-    del t_kind
-    vids = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
-    order = np.lexsort((kinds, vids, slots))
-    return slots[order].tolist(), vids[order].tolist(), kinds[order].tolist()
 
 
 class _Vehicle:
@@ -116,7 +99,10 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
         streams.append(arrival_stream(traffic_rng, scenario.traffic, int(duration_s * 1e6)))
         vehicles.append(_Vehicle(vid))
         delays.append(_backoff_delays(mac_rng, cmin))
-    arr_slots, arr_vids, arr_kinds = _arrival_order(streams, slot_us)
+    slots, vids, kinds = merge_arrivals(streams, slot_us)
+    order = np.lexsort((kinds, vids, slots))   # a CAM before a DENM in the same slot
+    arr_slots, arr_vids, arr_kinds = (col[order].tolist() for col in (slots, vids, kinds))
+    del slots, vids, kinds, order
     arr_slots.append(duration_slots)   # a sentinel ends the arrivals
 
     stats = ReplicationStats()

@@ -4,6 +4,10 @@ All times are integer microseconds. CAM arrivals are strictly periodic with a
 random initial phase; DENM events are Poisson-triggered trains of K copies
 spaced T_D apart, with no new trigger while a train is running. A stream is
 one int64 array of (time_us, kind) rows sorted by (time, kind).
+
+Both simulators consume all vehicles' arrivals as one order, merged up
+front by `merge_arrivals`; each sorts it by its own rule for ties within
+one time unit (see its module docstring).
 """
 from __future__ import annotations
 
@@ -46,3 +50,22 @@ def arrival_stream(rng: np.random.Generator, params: TrafficParams,
     # a stable sort keeps each CAM ahead of a DENM at the same time
     order = np.argsort(times, kind="stable")
     return np.stack((times[order], np.where(order < len(cams), CAM, DENM)), axis=1)
+
+
+def merge_arrivals(streams, unit_us):
+    """The (unit, vid, kind) columns of all vehicles' arrivals, vehicle by vehicle.
+
+    streams[vid] holds the rows of vehicle vid's `arrival_stream`; its times
+    become whole units of unit_us. Each vehicle's rows keep their stream
+    order, so a stable sort by (unit, vid) keeps it within a unit. The list
+    is emptied as soon as it is read, to lower the peak memory of a
+    replication.
+    """
+    counts = [len(a) for a in streams]
+    rows = np.concatenate(streams)
+    streams.clear()
+    units = (rows[:, 0] // unit_us).astype(np.int64)
+    kinds = rows[:, 1].astype(np.int8)
+    del rows
+    vids = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    return units, vids, kinds

@@ -1,5 +1,6 @@
 """802.11p closed form, busy-ratio update and state delays."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chain_helpers import coupling, oracle_gap, scenario
-from v2xmac.chains import build_chain, closed_form_states, hitting_times
+from v2xmac.chains import CouplingInputs, build_chain, closed_form_states, hitting_times
 from v2xmac.config import Dot11pParams, ScenarioConfig
 from v2xmac.dot11p import solve_dot11p, state_delays, update_theta
-from v2xmac.errors import ChannelSaturated, InvalidArgument, ModelValidityError
+from v2xmac.errors import ChannelSaturated, InvalidArgument, ModelValidityError, V2xMacError
 
 
 class TestClosedForm:
@@ -160,3 +161,22 @@ class TestOmegaBelowTwo:
         s = ScenarioConfig(tech="dot11p", n=10, dot11p=self.PARAMS)
         with pytest.raises(ModelValidityError, match="Omega = 1"):
             build_chain("dot11p", s, coupling(theta=0.3))
+
+
+class TestOmegaOverflow:
+    """An AIFS too long for math.ceil to count is a typed error at every entry point."""
+
+    PARAMS = Dot11pParams(sifs_us=1e308, slot_us=1e-3)   # unvalidated, Omega overflows
+
+    def test_solve_dot11p_rejects(self):
+        with pytest.raises(V2xMacError):
+            solve_dot11p(self.PARAMS, 0.5, 0.3)
+
+    def test_state_delays_rejects(self):
+        with pytest.raises(V2xMacError):
+            state_delays(self.PARAMS, 0.3)
+
+    def test_build_chain_rejects(self):
+        s = replace(ScenarioConfig(), dot11p=self.PARAMS)
+        with pytest.raises(V2xMacError):
+            build_chain("dot11p", s, CouplingInputs())

@@ -19,7 +19,7 @@ from v2xmac.sim import dot11p as sim_dot11p
 from v2xmac.sim import run_sim
 from v2xmac.sim.cv2x import run_replication as cv2x_rep
 from v2xmac.sim.dot11p import run_replication as dot11p_rep
-from v2xmac.sim.report import warmup_units
+from v2xmac.sim.report import _mean_ci, warmup_units
 from v2xmac.sim.traffic import CAM, DENM, arrival_stream
 from v2xmac.traffic import solve_queue
 
@@ -229,6 +229,30 @@ class TestSingleVehicle:
         lo = (p.tx_slots + p.omega) * p.slot_us / 1000.0
         hi = (p.tx_slots + p.omega + p.c_min * p.omega) * p.slot_us / 1000.0
         assert lo <= rep.d_end_avg_hat_ms <= hi
+
+
+class TestDot11pOneVehicleContract:
+    """At N = 1 the 802.11p simulator runs one vehicle's generators, queue and MAC exactly.
+
+    So its packet rates must agree with the fixed point's. No delay leg: the
+    analytic delay is the MAC service time D_{A_1}, with no wait behind a
+    packet already in service, and the simulated d_end lies just above it.
+    """
+
+    REPLICATIONS, DURATION_S = 20, 60.0
+
+    def test_generated_and_sent_rates_agree_with_the_fixed_point(self):
+        s = ScenarioConfig(tech="dot11p", n=1).validate()
+        analytic = solve_coupled("dot11p", s)
+        stats = [dot11p_rep(s, seed=1, replication=r, duration_s=self.DURATION_S)
+                 for r in range(self.REPLICATIONS)]
+        generated = _mean_ci([st.generated / self.DURATION_S for st in stats])
+        sent = _mean_ci([st.transmissions * 1e6 / (st.window_units * s.dot11p.slot_us)
+                         for st in stats])
+        assert analytic.dropped_per_s == 0.0
+        assert sum(st.dropped for st in stats) == 0
+        for mean, ci95 in (generated, sent):   # nothing is dropped: sent = generated
+            assert abs(mean - analytic.generated_per_s) <= ci95
 
 
 class TestDot11pContracts:

@@ -32,6 +32,7 @@ import pytest
 
 from v2xmac.config import Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams
 from v2xmac.sim import cv2x, dot11p
+from v2xmac.sim.traffic import CAM, DENM, arrival_stream, vehicle_rngs
 
 GOLDEN = {tech: Path(__file__).with_name(f"{tech}_golden.json") for tech in ("dot11p", "cv2x")}
 DURATION_S = 10.0
@@ -158,6 +159,29 @@ def test_cv2x_replication_matches_golden_digests(case, golden):
 def test_trace_sink_leaves_stats_unchanged(tech, case):
     runner, scenario, seed, traced, _ = case_run(tech, case)
     assert vars(traced) == vars(runner(scenario, seed, 0, DURATION_S))
+
+
+def denm_before_cam_ties(n, traffic, seed, unit_us):
+    """Arrivals in replication 0 where a vehicle's DENM precedes its CAM within one unit."""
+    ties = 0
+    for vid in range(n):
+        rows = arrival_stream(vehicle_rngs(seed, 0, vid)[0], traffic, int(DURATION_S * 1e6))
+        units, kinds = rows[:-1, 0] // unit_us, rows[:-1, 1]
+        ties += int(((units == rows[1:, 0] // unit_us)
+                     & (kinds == DENM) & (rows[1:, 1] == CAM)).sum())
+    return ties
+
+
+@pytest.mark.parametrize("tech", ["dot11p", "cv2x"])
+def test_golden_cases_pin_the_tie_rule(tech):
+    # the simulators order a vehicle's arrivals within one unit differently:
+    # 802.11p queues a CAM before a DENM in the same slot, C-V2X keeps stream
+    # (time) order, so the digests pin each rule only where such a tie occurs
+    streams = set()   # (n, traffic, seed, unit_us): the cases that share one share arrivals
+    for case in (c for t, c in CASES if t == tech):
+        s = SIMULATORS[tech][1](*case[:-1])
+        streams.add((s.n, s.traffic, case[-1], s.dot11p.slot_us if tech == "dot11p" else 1000))
+    assert sum(denm_before_cam_ties(*key) for key in streams) >= 1
 
 
 def test_digest_script_runs_both_simulators_traced_and_untraced():
