@@ -25,25 +25,38 @@ def _rc_grid(sol: Cv2xSolution):
 class Cv2xSolution:
     """Steady state of the Mode 4 chain.
 
-    params, p_qne, a, b and w0 = pi_{w,0} are its closed form; p_txo and p_t
-    come from its family sums. pi_w[j] covers the waiting states (w, j),
-    j in [0, Gamma-2]; pi_rc[i, j] covers the RC grid for i in [1, R_h] (row 0
-    of the array is unused padding so indices match RC values),
-    j in [0, Gamma-1]. The arrays are built from `state` when first read.
+    Its fields are its parameters p_qne, a, b and params plus its
+    normalization w0 = pi_{w,0}; pi_idle, p_txo and p_t are properties that
+    read them. pi_w[j] covers the waiting states (w, j), j in [0, Gamma-2];
+    pi_rc[i, j] the RC grid, i in [1, R_h] (row 0 is padding, so indices are
+    RC values), j in [0, Gamma-1]. The arrays are built from `state` when read.
     """
 
-    pi_idle: float
-    p_txo: float
-    p_t: float
-    params: Cv2xParams
     p_qne: float
     a: float
     b: float
     w0: float
+    params: Cv2xParams
     pi_w: np.ndarray = field(default=state_array(
         lambda s: [s.state("w", j) for j in range(s.params.gamma - 1)]),
         compare=False, repr=False)
     pi_rc: np.ndarray = field(default=state_array(_rc_grid), compare=False, repr=False)
+
+    @property
+    def pi_idle(self) -> float:
+        return self.b * self.w0
+
+    @property
+    def p_txo(self) -> float:
+        """The mass of column j = 0 of the RC grid, whose rows are given in `state`."""
+        low_rows, hi_rows, w_cnt = _rc_rows(self.params)
+        n_sum = hi_rows * (hi_rows + 1) // 2
+        return self.w0 / self.p_qne * (low_rows + (n_sum / w_cnt if hi_rows else 0.0))
+
+    @property
+    def p_t(self) -> float:
+        """P_t: an opportunity transmits when the queue is not empty."""
+        return self.p_txo * self.p_qne
 
     @property
     def pi_10(self) -> float:
@@ -87,32 +100,26 @@ def solve_cv2x(params: Cv2xParams, p_qne: float, p_arr: float) -> Cv2xSolution:
     a = (p_arr + p_qne - p_arr * p_qne) * p_sch
     b = (1.0 - p_rk) * (1.0 / p_sch - 1.0) / (p_arr + p_qne * (1.0 - p_arr))
 
-    # family masses relative to pi_{w,0}
-    mass_idle = b
+    # family masses relative to pi_{w,0}; the idle state's is b
     mass_w = a * b * g / 2.0 + (g / 2.0) * (1.0 - p_rk) * p_sch + (g - 1.0) * p_rk
     mass_low = (rl - 1) * g / p_qne
     mass_hi0 = (w_cnt + 1) / (2.0 * p_qne)
     mass_hiw = (w_cnt + 1) * (g - 1) / (2.0 * p_qne ** 2)
-    w0 = 1.0 / (mass_idle + mass_w + mass_low + mass_hi0 + mass_hiw)
+    w0 = 1.0 / (b + mass_w + mass_low + mass_hi0 + mass_hiw)
 
-    # column j = 0 of the RC grid: pi_{i,0} = w0 / p_qne for the rows below
-    # R_l, w0 n_i / (p_qne w_cnt) with n_i = R_h - i + 1 from R_l on
-    low_rows, hi_rows = _rc_rows(rl, rh)
-    n_sum = hi_rows * (hi_rows + 1) // 2
-    p_txo = w0 / p_qne * (low_rows + (n_sum / w_cnt if hi_rows else 0.0))
-    sol = Cv2xSolution(pi_idle=b * w0, p_txo=p_txo, p_t=p_txo * p_qne,
-                       params=params, p_qne=p_qne, a=a, b=b, w0=w0)
-    _check_mass(sol, low_rows, hi_rows)
+    sol = Cv2xSolution(p_qne=p_qne, a=a, b=b, w0=w0, params=params)
+    _check_mass(sol)
     return sol
 
 
-def _rc_rows(rl: int, rh: int):
-    """(rows i in [1, R_h] below R_l, rows from R_l on) of the RC grid."""
+def _rc_rows(params: Cv2xParams):
+    """(rows i in [1, R_h] below R_l, rows from R_l on, w_cnt = R_h - R_l + 1) of the RC grid."""
+    rl, rh = params.r_low, params.r_high
     hi_rows = max(rh - max(rl, 1) + 1, 0)
-    return rh - hi_rows, hi_rows
+    return rh - hi_rows, hi_rows, 1 + rh - rl
 
 
-def _check_mass(sol: Cv2xSolution, low_rows: int, hi_rows: int):
+def _check_mass(sol: Cv2xSolution):
     """Sum-to-one and sign checks on the states of `sol`, from their sums.
 
     pi_w is linear in shape = (Gamma - 1 - j) / (Gamma - 1), which runs from
@@ -122,7 +129,7 @@ def _check_mass(sol: Cv2xSolution, low_rows: int, hi_rows: int):
     """
     params, w0, p_qne = sol.params, sol.w0, sol.p_qne
     g, p_rk, p_sch = params.gamma, params.p_rk, params.p_sch
-    w_cnt = 1 + params.r_high - params.r_low
+    low_rows, hi_rows, w_cnt = _rc_rows(params)
     c = sol.a * sol.b
     if g >= 2:
         w_ends = [w0 * (c * s + s * (1.0 - p_rk) * p_sch + p_rk)

@@ -56,20 +56,17 @@ def _per_stage(family):
 class Dot11pSolution:
     """Steady state of the 802.11p chain at aSlotTime resolution.
 
-    theta, params, the idle exit probability h, f = pi_{B, tx_slots} / pi_Idle
-    and pi_Idle itself are its closed form; pi_Idle and P_t come from the
-    family sums. Stage-indexed families are dicts keyed by the
-    existing backoff stages ({0} union [2, C_min - 1]); per-stage line values
-    are constant along the line, so a single number is stored per stage. The
-    families are built from `state` when first read.
+    Its fields are its parameters theta, params and the idle exit probability
+    h plus its normalization pi_Idle; f = pi_{B, tx_slots} / pi_Idle and P_t
+    are properties that read them. Stage-indexed families are dicts with one
+    value per backoff stage ({0} union [2, C_min - 1]), which a row's states
+    share. The families are built from `state` when first read.
     """
 
     pi_idle: float
     theta: float
-    p_t: float
     params: Dot11pParams
     h: float
-    f: float
     pi_a: np.ndarray = field(                       # A_1..A_Omega
         default=_line("a", lambda p: p.omega), compare=False, repr=False)
     pi_b: np.ndarray = field(                       # (B, 1..tx_slots)
@@ -89,8 +86,12 @@ class Dot11pSolution:
         return self.state("a", self.params.omega)
 
     @property
-    def tx_total(self) -> float:
-        """The sum of pi_Tx over its tx_slots states: tx_slots h pi_Idle."""
+    def f(self) -> float:
+        return _f(self.h, self.theta, self.params.omega)
+
+    @property
+    def p_t(self) -> float:
+        """P_t, the mass of the Tx line: tx_slots h pi_Idle."""
         return self.params.tx_slots * self.h * self.pi_idle
 
     @property
@@ -125,6 +126,11 @@ class Dot11pSolution:
         return weight * (self.f / (cmin * (1.0 - theta)) * self.pi_idle)
 
 
+def _f(h: float, theta: float, omega: int) -> float:
+    """f = pi_{B, tx_slots} / pi_Idle: the (B, i) closed form of `state` at i = tx_slots."""
+    return h * (theta - (1.0 - theta) ** omega - theta + 1.0)
+
+
 def _line_sum(theta: float, n: int) -> float:
     """1 + (1 - theta) + ... + (1 - theta)^(n - 1), accurate also at tiny theta."""
     if theta == 0.0:
@@ -151,7 +157,7 @@ def solve_dot11p(params: Dot11pParams, h: float, theta: float) -> Dot11pSolution
     cmin, om, th = params.c_min, params.omega, params.tx_slots
     one_m = 1.0 - theta
     idle_line = one_m ** om
-    f = h * (theta - idle_line - theta + 1.0)  # the (B, tx_slots) entry of pi_b
+    f = _f(h, theta, om)
 
     # the stage weights summed over the stages {0} union [2, C_min - 1]
     upper = max(cmin - 2, 0)   # stages from 2 on
@@ -164,9 +170,7 @@ def solve_dot11p(params: Dot11pParams, h: float, theta: float) -> Dot11pSolution
              + h * (theta * (th + 1) / 2.0 + th * (1.0 - idle_line - theta))
              + stage_scale * (sense_w * (1.0 + th * theta) + (om - 1) * backoff_w)
              + th * h)
-    pi_idle = 1.0 / total
-    return Dot11pSolution(pi_idle=pi_idle, theta=theta, p_t=th * h * pi_idle,
-                          params=params, h=h, f=f)
+    return Dot11pSolution(pi_idle=1.0 / total, theta=theta, params=params, h=h)
 
 
 def update_theta(p_t: float, n: int) -> float:
@@ -216,26 +220,28 @@ class DelayTable:
         return (th - j + 1) + (om - 1) + self.sense[s]
 
 
-def delay_recurrences(params: Dot11pParams, theta: float):
-    """(D_{I,s} by stage s, D_{B,i} by i, D_{A_i} by i): the coupled delay recurrences.
+def state_delays(params: Dot11pParams, theta: float) -> DelayTable:
+    """Per-state delay recurrences of the 802.11p chain, solved exactly.
 
-    The delays of the backoff, Delta and Tx rows follow from these in closed
-    form (`DelayTable.state`); the mean delay D_{A_1} needs only these.
+    They couple D_{I,s}, D_{B,i} and D_{A_i}; the delays of the backoff, Delta
+    and Tx rows follow from these in closed form (`DelayTable.state`).
     """
     if not 0.0 <= theta < 1.0:
         raise ChannelSaturated(f"theta = {theta!r}; delays diverge at theta = 1")
     check_omega(params)
     cmin, om, th = params.c_min, params.omega, params.tx_slots
     one_m = 1.0 - theta
+    stages = dot11p_stages(cmin)
 
-    d_sense = {0: (1.0 + th + theta * (om - 1)) / one_m}
-    for i in range(2, cmin):
-        d_sense[i] = (i + th * (1.0 + theta * (i - 1)) + i * theta * (om - 1)) / one_m
+    d_sense = {}
+    for s in stages:
+        i = max(s, 1)   # stage 0 senses like stage 1
+        d_sense[s] = (i + th * (1.0 + theta * (i - 1)) + i * theta * (om - 1)) / one_m
 
     # stage draw at (B, tx_slots): weight 2/C for stage 0, 1/C for others
     d_busy = {th: 1.0 + (2.0 / cmin) * ((om - 1) + d_sense[0])
               + ((cmin - 2) * (om - 1)) / cmin
-              + sum(d_sense[i] for i in range(2, cmin)) / cmin}
+              + sum(d_sense[s] for s in stages[1:]) / cmin}
     for i in range(th - 1, 0, -1):
         d_busy[i] = 1.0 + d_busy[i + 1]
 
@@ -245,9 +251,4 @@ def delay_recurrences(params: Dot11pParams, theta: float):
         d_aifs[i] = 1.0 + one_m * d_aifs[i + 1] + theta * d_busy[1]
     mean_busy = sum(d_busy[j] for j in range(1, th + 1)) / th
     d_aifs[1] = 1.0 + one_m * d_aifs[2] + theta * mean_busy
-    return d_sense, d_busy, d_aifs
-
-
-def state_delays(params: Dot11pParams, theta: float) -> DelayTable:
-    """Per-state delay recurrences of the 802.11p chain, solved exactly."""
-    return DelayTable(*delay_recurrences(params, theta), params=params)
+    return DelayTable(d_sense, d_busy, d_aifs, params=params)

@@ -8,8 +8,7 @@ from typing import Optional
 from .config import Dot11pParams, ScenarioConfig
 from .coupling import FixedPointReport, solve_coupled
 from .cv2x import Cv2xSolution
-# state_delays is not called here; the benchmark's tracer wraps it at this name
-from .dot11p import Dot11pSolution, delay_recurrences, state_delays  # noqa: F401
+from .dot11p import Dot11pSolution, state_delays
 from .errors import (EmptySystem, InvalidArgument, ModelValidityError,
                      NoTransmitter, ResourceExhaustion)
 from .traffic import QueueSolution
@@ -64,13 +63,13 @@ def collision_prob_dot11p(sol: Dot11pSolution, n: int) -> float:
     """Collision probability as 1 - P(exactly one transmits | at least one)."""
     if n < 1:
         raise InvalidArgument("n must be >= 1")
-    sense_first, a_last, tx_total = sol.sense_first, sol.a_last, sol.tx_total
-    access = sense_first + a_last + tx_total
+    sense_first, a_last, p_t = sol.sense_first, sol.a_last, sol.p_t
+    access = sense_first + a_last + p_t
     if access <= 0.0:
         raise NoTransmitter("zero access probability; no vehicle ever transmits")
     if n == 1:
         return 0.0
-    succ_one = (1.0 - sol.theta) * (sense_first + a_last) + tx_total
+    succ_one = (1.0 - sol.theta) * (sense_first + a_last) + p_t
     any_tx = -math.expm1(n * math.log1p(-min(access, 1.0)))
     if any_tx <= 0.0:
         raise NoTransmitter("P(at least one transmission) = 0")
@@ -101,14 +100,14 @@ def avg_delay_dot11p(params: Dot11pParams, theta: float) -> float:
     channel. By Little's law it also equals (1 - pi_Idle) / pi_{A_1} of the
     MAC steady state at busy ratio theta.
     """
-    return delay_recurrences(params, theta)[2][1]
+    return state_delays(params, theta).aifs[1]
 
 
 def channel_utilization(tech: str, p_t: float, n: int, p_col: float,
-                        csrs_per_subframe: int = 25) -> float:
+                        csrs_per_subframe: int) -> float:
     """Average number of users successfully on the channel at once.
 
-    C-V2X is normalized by the CSRs available in a single subframe.
+    C-V2X is normalized by the csrs_per_subframe CSRs of a single subframe.
     """
     base = p_t * n * (1.0 - p_col)
     if tech == "cv2x":
@@ -123,19 +122,17 @@ def evaluate_fixed_point(report: FixedPointReport, scenario: ScenarioConfig) -> 
         sol = report.cv2x
         p_col = collision_prob_cv2x(sol, scenario.n)
         d_ms = avg_delay_cv2x(report.queue, sol.p_txo)
-        cu = channel_utilization("cv2x", state.p_t, scenario.n, p_col,
-                                 scenario.cv2x.csrs_per_subframe)
-        return MetricsReport(tech="cv2x", n=scenario.n, p_col=p_col, d_avg_ms=d_ms,
-                             cu_avg=cu, p_t=state.p_t, p_qe=state.p_qe, theta=0.0,
-                             p_txo=sol.p_txo, csr_total=scenario.cv2x.csr_total,
-                             iterations=report.iterations, converged=report.converged)
-    sol = report.dot11p
-    p_col = collision_prob_dot11p(sol, scenario.n)
-    d_ms = avg_delay_dot11p(scenario.dot11p, sol.theta) * scenario.dot11p.slot_us / 1000.0
-    cu = channel_utilization("dot11p", state.p_t, scenario.n, p_col)
-    return MetricsReport(tech="dot11p", n=scenario.n, p_col=p_col, d_avg_ms=d_ms,
-                         cu_avg=cu, p_t=state.p_t, p_qe=state.p_qe, theta=sol.theta,
-                         p_txo=None, csr_total=None,
+        theta, p_txo, csr_total = 0.0, sol.p_txo, scenario.cv2x.csr_total
+    else:
+        sol = report.dot11p
+        p_col = collision_prob_dot11p(sol, scenario.n)
+        d_ms = avg_delay_dot11p(scenario.dot11p, sol.theta) * scenario.dot11p.slot_us / 1000.0
+        theta, p_txo, csr_total = sol.theta, None, None
+    cu = channel_utilization(report.tech, state.p_t, scenario.n, p_col,
+                             scenario.cv2x.csrs_per_subframe)
+    return MetricsReport(tech=report.tech, n=scenario.n, p_col=p_col, d_avg_ms=d_ms,
+                         cu_avg=cu, p_t=state.p_t, p_qe=state.p_qe, theta=theta,
+                         p_txo=p_txo, csr_total=csr_total,
                          iterations=report.iterations, converged=report.converged)
 
 

@@ -90,13 +90,16 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
     slot_us = p.slot_us
     duration_slots = int(round(duration_s * 1e6 / slot_us))
     warmup = warmup_units(duration_slots, slot_us)
+    # arrivals only in the run's slots (t < duration_slots slot_us, exactly): each is generated
+    num, den = slot_us.as_integer_ratio()
+    duration_us = min(int(duration_s * 1e6), -(-duration_slots * num // den))
 
     vehicles = []
     delays = []               # per vehicle, its backoff delays in draw order
     streams = []              # per vehicle, its (time_us, kind) arrival rows
     for vid in range(scenario.n):
         traffic_rng, mac_rng = vehicle_rngs(seed, replication, vid)
-        streams.append(arrival_stream(traffic_rng, scenario.traffic, int(duration_s * 1e6)))
+        streams.append(arrival_stream(traffic_rng, scenario.traffic, duration_us))
         vehicles.append(_Vehicle(vid))
         delays.append(_backoff_delays(mac_rng, cmin))
     slots, vids, kinds = merge_arrivals(streams, slot_us)

@@ -17,25 +17,32 @@ if TYPE_CHECKING:
 class GeneratorSolution:
     """Steady state of one packet generator.
 
-    The fields up to txp_tail are its closed form: period T_l, transmit
-    probability P_t, repeat_weight (1 for CAM, 1 - 1/K for DENM) and the
-    three scalars the fixed point reads. pi_tx[j] is the probability of
-    (tx, j), pi_txp[j] of (txp, j) for j in [0, T_l - 1]; both are built from
-    `state` when first read. pi_idle_denm is the DENM idle-state mass
-    (0 for CAM).
+    Its fields are its parameters, period T_l, transmit probability P_t and
+    repeat_weight (1 for CAM, 1 - 1/K for DENM), plus its normalization
+    tx_first = pi_tx[0] and, for DENM, the idle-state mass pi_idle_denm.
+    pi_tx[j] is the probability of (tx, j), pi_txp[j] of (txp, j) for
+    j in [0, T_l - 1]; both are built from `state` when first read.
     """
 
     t_l: int
     p_t: float
     repeat_weight: float
-    tx_first: float     # pi_tx[0], the normalization
-    txp_first: float    # pi_txp[0]
-    txp_tail: float     # the blocked row's mass beyond j = 0: sum of pi_txp[1:]
+    tx_first: float
     pi_idle_denm: float = 0.0
     pi_tx: np.ndarray = field(default=state_array(
         lambda s: [s.state("tx", j) for j in range(s.t_l)]), compare=False, repr=False)
     pi_txp: np.ndarray = field(default=state_array(
         lambda s: [s.state("txp", j) for j in range(s.t_l)]), compare=False, repr=False)
+
+    @property
+    def txp_first(self) -> float:
+        return self.state("txp", 0)
+
+    @property
+    def txp_tail(self) -> float:
+        """The blocked row's mass beyond j = 0, the geometric sum of pi_txp[1:]: w q / (1 - q)."""
+        q = 1.0 - self.p_t
+        return self.repeat_weight * q / (1.0 - q) * self.tx_first
 
     @property
     def generation_rate(self) -> float:
@@ -69,8 +76,8 @@ class GeneratorSolution:
 class QueueSolution:
     """Steady state of the device queue on 0..M.
 
-    The rates (alpha, alpha1, beta), the capacity M and P_qe = pi_0 are its
-    closed form; pi is built from `state` when first read.
+    Its fields are its rates (alpha, alpha1, beta) and capacity M plus its
+    normalization P_qe = pi_0; pi is built from `state` when first read.
     """
 
     p_qe: float
@@ -112,22 +119,6 @@ class QueueSolution:
         return self.p_qe * self.alpha1 / self.beta * (self.alpha / self.beta) ** (index - 1)
 
 
-def _generator_solution(t_l: int, p_t: float, repeat_weight: float, tx0: float,
-                        pi_idle_denm: float = 0.0) -> GeneratorSolution:
-    """A generator's closed form, with the O(1) scalars the fixed point reads.
-
-    pi_txp[j] = w q^(T_l - j) / z for z = 1 - q^(T_l - 1) (`state`), so its
-    tail j >= 1 is the geometric sum w q / (1 - q).
-    """
-    q = 1.0 - p_t
-    z = 1.0 - q ** (t_l - 1)
-    return GeneratorSolution(t_l=t_l, p_t=p_t, repeat_weight=repeat_weight,
-                             tx_first=tx0,
-                             txp_first=repeat_weight * q ** t_l / z * tx0,
-                             txp_tail=repeat_weight * q / (1.0 - q) * tx0,
-                             pi_idle_denm=pi_idle_denm)
-
-
 def _check_generator(period: int, p_t: float, name: str):
     if not (0.0 < p_t <= 1.0 and 1.0 - p_t < 1.0):
         raise DegenerateTransmitProbability(
@@ -146,7 +137,7 @@ def solve_cam(params: TrafficParams, p_t: float) -> GeneratorSolution:
     q = 1.0 - p_t
     z = 1.0 - q ** (t_c - 1)
     tx0 = z / (t_c * (1.0 - p_t * q ** (t_c - 1)))
-    return _generator_solution(t_c, p_t, 1.0, tx0)
+    return GeneratorSolution(t_l=t_c, p_t=p_t, repeat_weight=1.0, tx_first=tx0)
 
 
 def solve_denm(params: TrafficParams, p_t: float) -> GeneratorSolution:
@@ -159,7 +150,8 @@ def solve_denm(params: TrafficParams, p_t: float) -> GeneratorSolution:
     f = 1.0 - 1.0 / k
     tx0 = 1.0 / (f * t_d * (1.0 - p_t * q ** (t_d - 1)) / z
                  + 1.0 / k + 1.0 / (k * sigma))
-    return _generator_solution(t_d, p_t, f, tx0, pi_idle_denm=tx0 / (k * sigma))
+    return GeneratorSolution(t_l=t_d, p_t=p_t, repeat_weight=f, tx_first=tx0,
+                             pi_idle_denm=tx0 / (k * sigma))
 
 
 def per_slot_rate(per_subframe: float, slot_us: float) -> float:

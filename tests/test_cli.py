@@ -13,6 +13,8 @@ from v2xmac.cli import RECIPE_DIR, main, recipe_names
 from v2xmac.config import ScenarioConfig, parse_config, serialize_config
 from v2xmac.errors import ConfigParseError
 
+RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
+
 DEFAULTS = """\
 tech=both
 n=60
@@ -209,6 +211,13 @@ class TestRecipes:
         rows = out.read_text().strip().splitlines()[2:]
         assert len(rows) == 12
         assert all(row.split(",")[-1] == "true" for row in rows)
+
+    @pytest.mark.parametrize("name", recipe_names())
+    def test_recipe_solves_to_its_committed_csv(self, name, tmp_path):
+        # results/ holds what scripts/run_recipes.py writes; a changed byte shows here
+        out = tmp_path / f"{name}.csv"
+        assert main(["solve", "--config", str(RECIPE_DIR / f"{name}.cfg"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (RESULTS_DIR / f"{name}.csv").read_bytes()
 
     def test_unknown_recipe(self, capsys):
         assert main(["recipes", "fig99"]) == 2

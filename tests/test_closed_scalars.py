@@ -1,15 +1,15 @@
 """The O(1) scalars the fixed point and the metrics read against the state arrays built on demand.
 
-Each solution's fields are its closed form: the solver takes its scalars
-from family sums, and `state` gives each state's value from the fields, from
-which the state arrays are built only when they are read. These properties
-check that the scalars and the arrays agree, and that the validity errors
-fire on the same inputs as the array-based checks they replace. An array
-given explicitly is kept as given, but neither the scalars nor the oracle
-map read it; a changed closed-form field reaches both.
+Each solution's fields are its parameters plus its normalization, which the
+solver fixes from family sums. Every other scalar is a property of those
+fields, and `state` gives each state's value from them, from which the state
+arrays are built only when they are read. These properties check that the
+scalars and the arrays agree, and that the validity errors fire on the same
+inputs as the array-based checks they replace. An array given explicitly is
+kept as given, but neither the scalars nor the oracle map read it; a changed
+closed-form field reaches both.
 """
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -21,7 +21,7 @@ from v2xmac.chains import closed_form_states
 from v2xmac.config import Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams
 from v2xmac.coupling import solve_coupled
 from v2xmac.cv2x import solve_cv2x
-from v2xmac.dot11p import delay_recurrences, solve_dot11p, state_delays
+from v2xmac.dot11p import solve_dot11p, state_delays
 from v2xmac.errors import (ChannelSaturated, DegenerateTransmitProbability,
                            InvalidMass, SaturatedQueue)
 from v2xmac.metrics import avg_delay_dot11p, evaluate_fixed_point
@@ -104,15 +104,7 @@ def test_dot11p_scalars_match_arrays(theta, h, c_min, aifsn, tx_slots):
     assert _close(sol.pi_idle, sol.pi_idle / mass)
     assert _close(sol.p_t, float(sol.pi_tx.sum()))
     assert _close(sol.a_last, float(sol.pi_a[-1]))
-    assert _close(sol.tx_total, float(sol.pi_tx.sum()))
     assert _close(sol.sense_first, sol.pi_sense[0])
-
-
-@pytest.mark.parametrize("aifsn, c_min", itertools.product((2, 6, 9), (3, 15, 63)))
-def test_delay_recurrences_give_the_tables_a1_delay(aifsn, c_min):
-    params = Dot11pParams(aifsn=aifsn, c_min=c_min)
-    for theta in (0.0, 1e-12, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-        assert delay_recurrences(params, theta)[2][1] == state_delays(params, theta).aifs[1]
 
 
 @pytest.mark.parametrize("n", [10, 300, 1600])
@@ -230,6 +222,24 @@ def test_a_replaced_closed_form_field_reaches_the_oracle_map():
     states = closed_form_states("dot11p", s, dataclasses.replace(dot11p, h=0.5 * dot11p.h))
     assert states["a,1"] == 0.5 * dot11p.pi_a[0]
     assert states["txm,1"] == 0.5 * dot11p.pi_tx[0]
+
+
+def test_a_replaced_closed_form_field_reaches_every_scalar():
+    s = ScenarioConfig()
+    cv2x, dot11p = solve_cv2x(s.cv2x, 0.6, 0.2), solve_dot11p(s.dot11p, 0.6, 0.3)
+    changed = dataclasses.replace(cv2x, w0=2.0 * cv2x.w0)
+    for name in ("p_txo", "p_t", "pi_idle", "pi_10"):
+        assert getattr(changed, name) == 2.0 * getattr(cv2x, name)
+    changed = dataclasses.replace(dot11p, pi_idle=2.0 * dot11p.pi_idle)
+    for name in ("p_t", "sense_first", "a_last"):
+        assert getattr(changed, name) == 2.0 * getattr(dot11p, name)
+    changed = dataclasses.replace(dot11p, h=0.5 * dot11p.h)
+    for name in ("p_t", "f", "sense_first", "a_last"):
+        assert getattr(changed, name) == 0.5 * getattr(dot11p, name)
+    cam = solve_cam(s.traffic, 0.3)
+    changed = dataclasses.replace(cam, tx_first=2.0 * cam.tx_first)
+    for name in ("txp_first", "txp_tail", "generation_rate"):
+        assert getattr(changed, name) == 2.0 * getattr(cam, name)
 
 
 def _solutions():

@@ -111,17 +111,17 @@ class TestDelays:
 
 class TestChannelUtilization:
     def test_all_collisions_zero_utilization(self):
-        assert channel_utilization("cv2x", 0.5, 100, 1.0) == 0.0
-        assert channel_utilization("dot11p", 0.5, 100, 1.0) == 0.0
+        assert channel_utilization("cv2x", 0.5, 100, 1.0, 25) == 0.0
+        assert channel_utilization("dot11p", 0.5, 100, 1.0, 25) == 0.0
 
     def test_cv2x_normalized_by_csrs_per_subframe(self):
-        assert channel_utilization("cv2x", 0.01, 100, 0.0) == pytest.approx(0.04)
-        assert channel_utilization("dot11p", 0.01, 100, 0.0) == pytest.approx(1.0)
+        assert channel_utilization("cv2x", 0.01, 100, 0.0, 25) == pytest.approx(0.04)
+        assert channel_utilization("dot11p", 0.01, 100, 0.0, 25) == pytest.approx(1.0)
 
     def test_structural_reduction(self):
         # with one CSR per subframe both forms coincide
         assert channel_utilization("cv2x", 0.3, 10, 0.2, csrs_per_subframe=1) \
-            == pytest.approx(channel_utilization("dot11p", 0.3, 10, 0.2))
+            == pytest.approx(channel_utilization("dot11p", 0.3, 10, 0.2, 25))
 
 
 class TestEvaluate:

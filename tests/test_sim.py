@@ -196,6 +196,23 @@ class TestConservation:
         assert module.run_replication(s, seed=4, replication=0, duration_s=10) == plain
         assert len(calls) == 3
 
+    def test_dot11p_generates_every_streamed_arrival(self, monkeypatch):
+        # 10 s hold 931,966.4 slots of 10.73 us and the run covers 931,966;
+        # vehicle 152 has an arrival in the last 4.8 us, which is not streamed
+        s = ScenarioConfig(n=200, traffic=TrafficParams(lam=41.087, m=6),
+                           dot11p=Dot11pParams(c_min=185, aifsn=4, slot_us=10.73, tx_slots=20))
+        lengths = []
+
+        def recording(*args):
+            rows = arrival_stream(*args)
+            lengths.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(sim_dot11p, "arrival_stream", recording)
+        st = dot11p_rep(s, seed=165567, replication=0, duration_s=10.0)
+        assert st.per_vehicle[152][0] == lengths[152] == 219
+        assert [row[0] for row in st.per_vehicle.values()] == lengths
+
 
 @pytest.mark.parametrize("duration_units, unit_us, cut", [
     (60_000, 1000, 2000),                          # C-V2X subframes: WARMUP_S = 2 s
