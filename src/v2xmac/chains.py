@@ -283,14 +283,15 @@ def _build_cv2x(m, at, params: ScenarioConfig, c: CouplingInputs):
     rows entered by a fresh RC draw) advance their waiting countdown only
     when the queue is non-empty; rows below R_l count down every subframe.
     A fresh draw lands at (rc, i, Gamma-1); transmission opportunities are
-    the (rc, i, 0) states.
+    the (rc, i, 0) states. Every selection schedules, as in the simulator,
+    so nothing enters idle: it only exits, with a = P_arr + P_qne - P_arr P_qne.
     """
     p = params.cv2x
     g, rl, rh = p.gamma, p.r_low, p.r_high
     w_cnt = 1 + rh - rl
     p_qne = c.p_qne
     p_qe = c.p_qe
-    a = (c.p_arr + p_qne - c.p_arr * p_qne) * p.p_sch
+    a = c.p_arr + p_qne - c.p_arr * p_qne
     idle = at["idle", None]
     w = lambda j: at["w", j]
     rc = lambda i, j: at["rc", (i, j)]
@@ -317,9 +318,7 @@ def _build_cv2x(m, at, params: ScenarioConfig, c: CouplingInputs):
     m[rc(1, 0), rc(1, g - 1)] = p_qe
     m[rc(1, 0), w(g - 2)] = p_qne * p.p_rk
     for j in range(g - 1):
-        m[rc(1, 0), w(j)] += p_qne * (1.0 - p.p_rk) * p.p_sch / (g - 1)
-    if p.p_sch < 1.0:
-        m[rc(1, 0), idle] = p_qne * (1.0 - p.p_rk) * (1.0 - p.p_sch)
+        m[rc(1, 0), w(j)] += p_qne * (1.0 - p.p_rk) / (g - 1)
 
 
 def _build_dot11p(m, at, params: ScenarioConfig, c: CouplingInputs):

@@ -76,7 +76,6 @@ class Cv2xParams(_Ranged):
     r_low: int = _param(5, 1)                          # RC draw lower bound
     r_high: int = _param(15, 1)                        # RC draw upper bound
     p_rk: float = _param(0.4, 0, 0.8, sweep=True)      # resource-keep probability
-    p_sch: float = _param(1.0, 0, 1, above=True)       # scheduling-success probability
     csrs_per_subframe: int = _param(25, 1)
 
     def validate(self):

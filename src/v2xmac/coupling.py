@@ -102,7 +102,7 @@ def _sweep(tech: str, scenario: ScenarioConfig, p_t: float) -> Sweep:
     """One Gauss-Seidel sweep at P_t: generators -> queue -> MAC chain.
 
     C-V2X: the generators, the queue and the MAC all step per subframe. The
-    generators' flows set the queue, whose P_qe and P_arr drive the MAC.
+    generators' flows set the queue, whose P_qe drives the MAC.
 
     802.11p: the generators step per 1 ms subframe, the MAC per 13 us slot,
     so each quantity is converted to the step of the chain that receives it.
@@ -118,7 +118,7 @@ def _sweep(tech: str, scenario: ScenarioConfig, p_t: float) -> Sweep:
         alpha, alpha1, beta, p_arr = combine_transition_probs(
             cam, denm, scenario.traffic)
         queue = solve_queue(alpha, alpha1, beta, scenario.traffic.m)
-        mac = solve_cv2x(scenario.cv2x, queue.p_qne, p_arr)
+        mac = solve_cv2x(scenario.cv2x, queue.p_qne)
         state = CouplingState(p_t=p_t, p_qe=queue.p_qe, p_arr=p_arr, theta=0.0)
     else:
         params = scenario.dot11p

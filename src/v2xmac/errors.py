@@ -26,15 +26,11 @@ class DegenerateTransmitProbability(V2xMacError):
 
 
 class DegenerateQueue(V2xMacError):
-    """The queue can fill but never drain (beta = 0 with alpha1 > 0)."""
+    """The queue rates define no explicit chain, or the queue can fill but never drain."""
 
 
 class SaturatedQueue(V2xMacError):
-    """P_qne = 0 makes the C-V2X closed form undefined."""
-
-
-class InvalidMass(V2xMacError):
-    """An assembled steady-state vector failed normalization or range checks."""
+    """P_qne = 0, or a P_qne at which its normalization underflows, in the C-V2X closed form."""
 
 
 class ChannelSaturated(V2xMacError):

@@ -94,21 +94,8 @@ class QueueSolution:
 
     @property
     def delay_sum(self) -> float:
-        """sum over i >= 1 of (2 i - 1) pi_i, the queue-position weights of the delay.
-
-        The terms are normalized by their direct sum, not read from `state`,
-        whose P_qe-based values round differently: the C-V2X delays that
-        `solve` prints keep their bytes. Nothing enters the queue at beta = 0.
-        """
-        if self.beta <= 0.0:
-            return 0.0
-        terms = [1.0]
-        term = self.alpha1 / self.beta
-        for _ in range(self.m_cap):
-            terms.append(term)
-            term *= self.alpha / self.beta
-        total = sum(terms)
-        return sum((2 * i - 1) * (terms[i] / total) for i in range(1, len(terms)))
+        """sum over i >= 1 of (2 i - 1) pi_i, the queue-position weights of the delay."""
+        return sum((2 * i - 1) * self.state("q", i) for i in range(1, self.m_cap + 1))
 
     def state(self, family: str, index: int) -> float:
         """pi_i of queue length i: P_qe (alpha1 / beta) (alpha / beta)^(i - 1) for i >= 1."""
@@ -206,10 +193,16 @@ def solve_queue(alpha: float, alpha1: float, beta: float, m_cap: int) -> QueueSo
     pi_i = pi_0 (alpha1 / beta) (alpha / beta)^(i-1) for i >= 1, so
     pi_0 = 1 / (1 + (alpha1 / beta) sum_{i<M} (alpha / beta)^i); the sum is
     M at alpha = beta; at beta = 0 (and so alpha1 = 0) the queue stays empty.
-    Only P_qe = pi_0 is computed here; pi is built when read.
+    Only P_qe = pi_0 is computed here; pi is built when read. The rates must
+    define the explicit chain: each in [0, 1], and alpha + beta <= 1.
     """
     if m_cap < 1:
         raise DegenerateQueue("queue capacity must be >= 1")
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= alpha1 <= 1.0 and 0.0 <= beta <= 1.0
+            and alpha + beta <= 1.0):
+        raise DegenerateQueue(f"rates alpha = {alpha!r}, alpha1 = {alpha1!r}, "
+                              f"beta = {beta!r}: each must lie in [0, 1], "
+                              "and alpha + beta must not exceed 1")
     if beta <= 0.0:
         if alpha1 > 0.0:
             raise DegenerateQueue("beta = 0 with alpha1 > 0: the queue never drains")

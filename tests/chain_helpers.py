@@ -12,13 +12,13 @@ ACCEPTANCE_LINES = []   # printed by conftest's terminal summary
 
 
 def scenario(t_c=100, t_d=100, k=5, lam=1.0, m=10, gamma=100, r_low=None,
-             r_high=None, p_rk=0.4, p_sch=1.0, n=100, tech="both", aifsn=6):
+             r_high=None, p_rk=0.4, n=100, tech="both", aifsn=6):
     lo, hi = rc_window(gamma)
     return ScenarioConfig(
         tech=tech, n=n,
         traffic=TrafficParams(t_c=t_c, t_d=t_d, k=k, lam=lam, m=m),
         cv2x=Cv2xParams(gamma=gamma, r_low=r_low or lo, r_high=r_high or hi,
-                        p_rk=p_rk, p_sch=p_sch),
+                        p_rk=p_rk),
         dot11p=Dot11pParams(aifsn=aifsn),
     ).validate()
 

@@ -62,9 +62,8 @@ def _grid_200():
         pts.append(("cv2x", dict(gamma=gamma, p_rk=p_rk, p_qne=p_qne, p_arr=0.2)))
     for gamma, p_arr in itertools.product(GAMMAS, (0.0, 0.6, 1.0)):  # 9
         pts.append(("cv2x", dict(gamma=gamma, p_rk=0.4, p_qne=0.5, p_arr=p_arr)))
-    for p_sch in (0.9, 0.7, 0.5, 0.99):       # 4
-        pts.append(("cv2x", dict(gamma=100, p_rk=0.4, p_qne=0.6, p_arr=0.3,
-                                 p_sch=p_sch)))
+    for gamma, p_qne in itertools.product((20, 100), (0.05, 1.0)):  # 4 queue-occupancy edges
+        pts.append(("cv2x", dict(gamma=gamma, p_rk=0.4, p_qne=p_qne, p_arr=0.2)))
     for theta in np.linspace(0.0, 0.9, 10):   # 40
         for p_qe, p_arr in ((0.6, 0.2), (0.9, 0.05), (0.3, 0.5), (0.45, 0.0)):
             pts.append(("dot11p", dict(theta=float(theta), p_qe=p_qe, p_arr=p_arr)))
@@ -83,9 +82,8 @@ def _closed_vs_oracle(kind, point):
         sol = solve_queue(m_cap=point["m"], **rates)
         inputs = coupling(**rates)
     elif kind == "cv2x":
-        s = scenario(gamma=point["gamma"], p_rk=point["p_rk"],
-                     p_sch=point.get("p_sch", 1.0))
-        sol = solve_cv2x(s.cv2x, point["p_qne"], point["p_arr"])
+        s = scenario(gamma=point["gamma"], p_rk=point["p_rk"])
+        sol = solve_cv2x(s.cv2x, point["p_qne"])
         inputs = coupling(p_qe=1.0 - point["p_qne"], p_arr=point["p_arr"])
     else:
         s = scenario()

@@ -136,7 +136,7 @@ class TestBuilders:
 # one-slot transmission
 SMALLEST = ScenarioConfig(
     traffic=TrafficParams(t_d=2, k=1, m=1),
-    cv2x=Cv2xParams(gamma=2, r_low=1, r_high=1, p_rk=0.8, p_sch=0.5),
+    cv2x=Cv2xParams(gamma=2, r_low=1, r_high=1, p_rk=0.8),
     dot11p=Dot11pParams(c_min=3, aifsn=2, sifs_us=0.0, tx_slots=1))
 
 
@@ -147,6 +147,6 @@ def test_smallest_shapes_match_oracle(kind):
     c = coupling(p_t=0.3, p_qe=0.4, p_arr=0.2, theta=0.3, alpha=0.2, alpha1=0.1, beta=0.3)
     closed = {"cam": solve_cam(s.traffic, c.p_t), "denm": solve_denm(s.traffic, c.p_t),
               "queue": solve_queue(c.alpha, c.alpha1, c.beta, s.traffic.m),
-              "cv2x": solve_cv2x(s.cv2x, c.p_qne, c.p_arr),
+              "cv2x": solve_cv2x(s.cv2x, c.p_qne),
               "dot11p": solve_dot11p(s.dot11p, c.h, c.theta)}
     assert oracle_gap(kind, s, closed[kind], c) < 1e-9

@@ -4,8 +4,8 @@ Each solution's fields are its parameters plus its normalization, which the
 solver fixes from family sums. Every other scalar is a property of those
 fields, and `state` gives each state's value from them, from which the state
 arrays are built only when they are read. These properties check that the
-scalars and the arrays agree, and that the validity errors fire on the same
-inputs as the array-based checks they replace. An array given explicitly is
+scalars and the arrays agree, and that each solver raises a typed error
+exactly outside the domain where its states are probabilities. An array given explicitly is
 kept as given, but neither the scalars nor the oracle map read it; a changed
 closed-form field reaches both.
 """
@@ -22,8 +22,9 @@ from v2xmac.config import Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParam
 from v2xmac.coupling import solve_coupled
 from v2xmac.cv2x import solve_cv2x
 from v2xmac.dot11p import solve_dot11p, state_delays
-from v2xmac.errors import (ChannelSaturated, DegenerateTransmitProbability,
-                           InvalidMass, SaturatedQueue)
+from v2xmac.errors import (ChannelSaturated, ConfigParseError, DegenerateQueue,
+                           DegenerateTransmitProbability, InvalidArgument, SaturatedQueue,
+                           V2xMacError)
 from v2xmac.metrics import avg_delay_dot11p, evaluate_fixed_point
 from v2xmac.traffic import solve_cam, solve_denm, solve_queue
 
@@ -67,11 +68,21 @@ def test_generators_reject_degenerate_p_t(p_t):
        m_cap=st.integers(1, 50))
 @settings(max_examples=200, deadline=None)
 def test_queue_p_qe_matches_array(alpha, alpha1, beta, m_cap):
+    assume(alpha + beta <= 1.0)
     q = solve_queue(alpha, alpha1, beta, m_cap)
     assume(math.isfinite(q.pi.sum()))
     assert _close(q.p_qe, float(q.pi[0]))
     weights = 2.0 * np.arange(1, m_cap + 1) - 1.0
     assert _close(q.delay_sum, float((weights * q.pi[1:]).sum()))
+
+
+@pytest.mark.parametrize("alpha, alpha1, beta", [
+    (-0.1, 0.1, 0.3), (2.0, 0.1, 0.3), (0.1, -0.1, 0.3), (0.1, 1.5, 0.3), (0.1, 0.1, 1.5),
+    (0.6, 0.1, 0.5), (math.nan, 0.1, 0.3), (0.1, math.nan, 0.3), (0.1, 0.1, math.nan)])
+def test_queue_rejects_rates_that_define_no_chain(alpha, alpha1, beta):
+    # the explicit chain needs each rate in [0, 1] and alpha + beta <= 1
+    with pytest.raises(DegenerateQueue):
+        solve_queue(alpha, alpha1, beta, 10)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
@@ -127,20 +138,15 @@ def test_dot11p_rejects_saturated_channel(theta):
 
 
 # ------------------------------------------------------------------- C-V2X
-def _array_check(params, p_qne, p_arr):
-    """The exception the array-based Mode 4 assembly raised, or None."""
-    if p_qne <= 0.0:
-        return SaturatedQueue
+def _array_check(params, p_qne):
+    """(w0, mass, smallest state) of the Mode 4 states assembled as arrays."""
     g, rl, rh = params.gamma, params.r_low, params.r_high
     w_cnt = 1 + rh - rl
-    p_sch, p_rk = params.p_sch, params.p_rk
-    a = (p_arr + p_qne - p_arr * p_qne) * p_sch
-    b = (1.0 - p_rk) * (1.0 / p_sch - 1.0) / (p_arr + p_qne * (1.0 - p_arr))
-    w0 = 1.0 / (b + a * b * g / 2.0 + (g / 2.0) * (1.0 - p_rk) * p_sch
-                + (g - 1.0) * p_rk + (rl - 1) * g / p_qne
+    p_rk = params.p_rk
+    w0 = 1.0 / ((g / 2.0) * (1.0 - p_rk) + (g - 1.0) * p_rk + (rl - 1) * g / p_qne
                 + (w_cnt + 1) / (2.0 * p_qne) + (w_cnt + 1) * (g - 1) / (2.0 * p_qne ** 2))
     shape = (g - 1.0 - np.arange(g - 1)) / (g - 1.0)
-    pi_w = w0 * (a * b * shape + shape * (1.0 - p_rk) * p_sch + p_rk)
+    pi_w = w0 * (shape * (1.0 - p_rk) + p_rk)
     pi_rc = np.zeros((rh + 1, g))
     for i in range(1, rh + 1):
         if i >= rl:
@@ -148,20 +154,16 @@ def _array_check(params, p_qne, p_arr):
             pi_rc[i, 1:] = w0 * (rh - i + 1) / (p_qne ** 2 * w_cnt)
         else:
             pi_rc[i, :] = w0 / p_qne
-    mass = b * w0 + pi_w.sum() + pi_rc[1:].sum()
-    if abs(mass - 1.0) > 1e-8 or min(b * w0, pi_w.min(), pi_rc.min()) < -1e-15:
-        return InvalidMass
-    return None
+    return w0, pi_w.sum() + pi_rc[1:].sum(), min(pi_w.min(), pi_rc.min())
 
 
 @given(gamma=st.integers(2, 100), r_low=st.integers(1, 30), width=st.integers(0, 30),
-       p_rk=probability, p_sch=st.floats(0.05, 1.0), p_qne=st.floats(0.01, 1.0),
-       p_arr=probability)
+       p_rk=st.floats(0.0, 0.8), p_qne=st.floats(0.01, 1.0))
 @settings(max_examples=200, deadline=None)
-def test_cv2x_p_txo_matches_array(gamma, r_low, width, p_rk, p_sch, p_qne, p_arr):
+def test_cv2x_p_txo_matches_array(gamma, r_low, width, p_rk, p_qne):
     s = ScenarioConfig(cv2x=Cv2xParams(gamma=gamma, r_low=r_low, r_high=r_low + width,
-                                       p_rk=p_rk, p_sch=p_sch))
-    sol = solve_cv2x(s.cv2x, p_qne, p_arr)
+                                       p_rk=p_rk))
+    sol = solve_cv2x(s.cv2x, p_qne)
     assert _close(sol.p_txo, float(sol.pi_rc[1:, 0].sum()))
     assert _close(sol.pi_10, float(sol.pi_rc[1, 0]))
     assert sol.p_t == sol.p_txo * p_qne
@@ -169,21 +171,35 @@ def test_cv2x_p_txo_matches_array(gamma, r_low, width, p_rk, p_sch, p_qne, p_arr
 
 
 @given(gamma=st.integers(2, 100), r_low=st.integers(-2, 30), r_high=st.integers(1, 30),
-       p_rk=st.floats(-0.5, 1.5), p_sch=st.floats(0.05, 1.0),
-       p_qne=st.floats(-0.5, 2.0), p_arr=st.floats(-0.5, 1.5))
+       p_rk=st.floats(-0.5, 1.5),
+       p_qne=st.floats(-0.5, 2.0) | st.sampled_from([math.nan, 1e-150, 1e-170, 5e-324]))
 @settings(max_examples=300, deadline=None)
-def test_cv2x_rejects_the_same_inputs(gamma, r_low, r_high, p_rk, p_sch, p_qne, p_arr):
-    params = Cv2xParams(gamma=gamma, r_low=r_low, r_high=r_high, p_rk=p_rk, p_sch=p_sch)
-    with np.errstate(all="ignore"):
-        try:
-            expected = _array_check(params, p_qne, p_arr)
-        except ZeroDivisionError:
-            expected = ZeroDivisionError
-    if expected is None:
-        solve_cv2x(params, p_qne, p_arr)
+def test_cv2x_rejects_the_same_inputs(gamma, r_low, r_high, p_rk, p_qne):
+    # the domain: valid params, 0 < P_qne <= 1, and a normalization that
+    # does not underflow; inside it the states are >= 0 and sum to 1
+    params = Cv2xParams(gamma=gamma, r_low=r_low, r_high=r_high, p_rk=p_rk)
+    try:
+        params.validate()
+        inside = 0.0 < p_qne <= 1.0 and p_qne ** 2 > 0.0
+    except ConfigParseError:
+        inside = False
+    if inside:
+        w0, mass, smallest = _array_check(params, p_qne)
+        inside = w0 > 0.0
+    if inside:
+        assert abs(mass - 1.0) <= 1e-8 and smallest >= 0.0
+        solve_cv2x(params, p_qne)
     else:
-        with pytest.raises(expected):
-            solve_cv2x(params, p_qne, p_arr)
+        with pytest.raises(V2xMacError):
+            solve_cv2x(params, p_qne)
+
+
+@pytest.mark.parametrize("p_qne, p_rk, error", [
+    (math.nan, 0.4, InvalidArgument), (1.5, 0.4, InvalidArgument),
+    (1e-170, 0.4, SaturatedQueue), (0.6, 1.2, ConfigParseError)])
+def test_cv2x_names_what_lies_outside_its_domain(p_qne, p_rk, error):
+    with pytest.raises(error):
+        solve_cv2x(Cv2xParams(p_rk=p_rk), p_qne)
 
 
 # ------------------------------------------------------ explicit arrays
@@ -192,7 +208,7 @@ def test_cv2x_rejects_the_same_inputs(gamma, r_low, r_high, p_rk, p_sch, p_qne, 
 # scalars and the oracle map read the closed-form fields through `state`.
 def test_a_replaced_rc_grid_reaches_neither_the_oracle_map_nor_the_scalars():
     s = ScenarioConfig()
-    sol = solve_cv2x(s.cv2x, 0.6, 0.2)
+    sol = solve_cv2x(s.cv2x, 0.6)
     rc = sol.pi_rc.copy()
     rc[1, 0] *= 2.0
     changed = dataclasses.replace(sol, pi_rc=rc)
@@ -216,7 +232,7 @@ def test_a_replaced_sensing_family_reaches_neither_the_oracle_map_nor_the_scalar
 
 def test_a_replaced_closed_form_field_reaches_the_oracle_map():
     s = ScenarioConfig()
-    cv2x, dot11p = solve_cv2x(s.cv2x, 0.6, 0.2), solve_dot11p(s.dot11p, 0.6, 0.3)
+    cv2x, dot11p = solve_cv2x(s.cv2x, 0.6), solve_dot11p(s.dot11p, 0.6, 0.3)
     states = closed_form_states("cv2x", s, dataclasses.replace(cv2x, w0=2.0 * cv2x.w0))
     assert states["rc,1,0"] == 2.0 * cv2x.pi_rc[1, 0]
     states = closed_form_states("dot11p", s, dataclasses.replace(dot11p, h=0.5 * dot11p.h))
@@ -226,7 +242,7 @@ def test_a_replaced_closed_form_field_reaches_the_oracle_map():
 
 def test_a_replaced_closed_form_field_reaches_every_scalar():
     s = ScenarioConfig()
-    cv2x, dot11p = solve_cv2x(s.cv2x, 0.6, 0.2), solve_dot11p(s.dot11p, 0.6, 0.3)
+    cv2x, dot11p = solve_cv2x(s.cv2x, 0.6), solve_dot11p(s.dot11p, 0.6, 0.3)
     changed = dataclasses.replace(cv2x, w0=2.0 * cv2x.w0)
     for name in ("p_txo", "p_t", "pi_idle", "pi_10"):
         assert getattr(changed, name) == 2.0 * getattr(cv2x, name)
@@ -247,7 +263,7 @@ def _solutions():
     s = ScenarioConfig()
     return [(solve_cam(s.traffic, 0.3), "pi_tx"), (solve_denm(s.traffic, 0.3), "pi_txp"),
             (solve_queue(0.1, 0.1, 0.3, 10), "pi"),
-            (solve_cv2x(s.cv2x, 0.6, 0.2), "pi_rc"),
+            (solve_cv2x(s.cv2x, 0.6), "pi_rc"),
             (solve_dot11p(s.dot11p, 0.6, 0.3), "pi_sense")]
 
 

@@ -19,8 +19,7 @@ from v2xmac.sim import run_sim
 KEYS = [
     "tech", "n", "adaptive_cam",
     "traffic.t_c", "traffic.t_d", "traffic.k", "traffic.lambda", "traffic.m",
-    "cv2x.gamma", "cv2x.r_low", "cv2x.r_high", "cv2x.p_rk", "cv2x.p_sch",
-    "cv2x.csrs_per_subframe",
+    "cv2x.gamma", "cv2x.r_low", "cv2x.r_high", "cv2x.p_rk", "cv2x.csrs_per_subframe",
     "dot11p.c_min", "dot11p.aifsn", "dot11p.slot_us", "dot11p.sifs_us", "dot11p.tx_slots",
 ]
 SWEEP_KEYS = ["sweep.parameter", "sweep.from", "sweep.to", "sweep.step"]
@@ -48,6 +47,12 @@ class TestKeyTable:
         text = serialize_config(parse_config("sweep.parameter=n\nsweep.from=50\n"
                                              "sweep.to=300\nsweep.step=50\n"))
         assert [line.partition("=")[0] for line in text.splitlines()] == KEYS + SWEEP_KEYS
+
+    def test_removed_scheduling_success_key_is_unknown(self):
+        # every selection schedules, in the closed form as in the simulator
+        with pytest.raises(ConfigParseError, match="unknown key") as err:
+            parse_config("cv2x.p_sch=0.9\n")
+        assert err.value.field == "cv2x.p_sch"
 
     def test_int_field_rejects_non_integral_value(self):
         with pytest.raises(ConfigParseError) as err:
@@ -97,8 +102,6 @@ def reference_cv2x(c):
         raise ConfigParseError("need 1 <= r_low <= r_high", field="cv2x.r_low")
     if not 0.0 <= c.p_rk <= 0.8:
         raise ConfigParseError("p_rk must lie in the standard range [0, 0.8]", field="cv2x.p_rk")
-    if not 0.0 < c.p_sch <= 1.0:
-        raise ConfigParseError("p_sch must lie in (0, 1]", field="cv2x.p_sch")
     if c.csrs_per_subframe < 1:
         raise ConfigParseError("csrs_per_subframe must be >= 1", field="cv2x.csrs_per_subframe")
 
@@ -140,8 +143,6 @@ NEAR_BOUNDS = {
     "cv2x.r_low": [0, 1, 2, 5, 15, 16],
     "cv2x.r_high": [0, 1, 2, 5, 14, 15, 16],
     "cv2x.p_rk": [-TINY, 0.0, TINY, 0.4, 0.8, math.nextafter(0.8, 1.0), 1.0],
-    "cv2x.p_sch": [-TINY, 0.0, TINY, 0.5, math.nextafter(1.0, 0.0), 1.0,
-                   math.nextafter(1.0, 2.0)],
     "cv2x.csrs_per_subframe": [0, 1, 2, 25],
     "dot11p.c_min": [2, 3, 4, 15],
     "dot11p.aifsn": [0, 1, 2, 6],

@@ -20,8 +20,8 @@ from v2xmac.metrics import (avg_delay_cv2x, avg_delay_dot11p,
 from v2xmac.traffic import solve_queue
 
 
-def cv2x_sol(p_qne=0.6, p_arr=0.2, params=None):
-    return solve_cv2x(params or Cv2xParams(), p_qne, p_arr)
+def cv2x_sol(p_qne=0.6, params=None):
+    return solve_cv2x(params or Cv2xParams(), p_qne)
 
 
 class TestCollisionCv2x:

@@ -358,7 +358,7 @@ def test_package_raises_no_bare_value_error():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: collision_prob_cv2x(solve_cv2x(Cv2xParams(), 0.6, 0.2), 0),
+    lambda: collision_prob_cv2x(solve_cv2x(Cv2xParams(), 0.6), 0),
     lambda: collision_prob_dot11p(solve_dot11p(Dot11pParams(), 0.6, 0.1), 0),
     lambda: avg_delay_cv2x(solve_queue(0.1, 0.1, 0.3, 10), 0.0),
     lambda: update_theta(1.5, 10),
