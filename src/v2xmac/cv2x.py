@@ -47,19 +47,11 @@ class Cv2xSolution:
 
     @property
     def p_txo(self) -> float:
-        """The mass of column j = 0 of the RC grid, whose rows are given in `state`.
-
-        The R_l - 1 rows below R_l hold w0 / p_qne each; the coefficients
-        n_i / w_cnt of the rows from R_l on average (w_cnt + 1) / 2.
-        """
-        p = self.params
-        w_cnt = 1 + p.r_high - p.r_low
-        return self.w0 / self.p_qne * (p.r_low - 1 + (w_cnt + 1) / 2)
+        return mode4_p_txo(self.params, self.w0, self.p_qne)
 
     @property
     def p_t(self) -> float:
-        """P_t: an opportunity transmits when the queue is not empty."""
-        return self.p_txo * self.p_qne
+        return mode4_p_t(self.params, self.w0, self.p_qne)
 
     @property
     def pi_10(self) -> float:
@@ -89,17 +81,32 @@ class Cv2xSolution:
         return self.w0 * (p.r_high - i + 1) / (self.p_qne ** 2 * w_cnt)
 
 
-def solve_cv2x(params: Cv2xParams, p_qne: float) -> Cv2xSolution:
-    """Assemble the Mode 4 steady state for the queue's P_qne.
+def mode4_p_txo(params: Cv2xParams, w0: float, p_qne: float) -> float:
+    """P_txo, the mass of column j = 0 of the RC grid.
 
-    The waiting-state and RC-grid families follow the per-state closed forms;
-    pi_{w,0} is fixed by the sum-to-one condition over all families. Every
-    selection schedules, as in the simulator, so the idle state holds no
-    mass. Inside the checked domain (valid params, 0 < P_qne <= 1 and a
-    normalization that does not underflow) every state is >= 0 and the
-    states sum to 1 by construction.
+    Its rows are given in `Cv2xSolution.state`. The R_l - 1 rows below R_l
+    hold w0 / p_qne each; the coefficients n_i / w_cnt of the rows from R_l
+    on average (w_cnt + 1) / 2.
     """
-    params.validate()
+    w_cnt = 1 + params.r_high - params.r_low
+    return w0 / p_qne * (params.r_low - 1 + (w_cnt + 1) / 2)
+
+
+def mode4_p_t(params: Cv2xParams, w0: float, p_qne: float) -> float:
+    """P_t: an opportunity transmits when the queue is not empty."""
+    return mode4_p_txo(params, w0, p_qne) * p_qne
+
+
+def mode4_w0(params: Cv2xParams, p_qne: float) -> float:
+    """The normalization pi_{w,0} of the Mode 4 chain of valid `params` at the queue's P_qne.
+
+    The waiting-state and RC-grid families follow the per-state closed forms
+    of `Cv2xSolution.state`; pi_{w,0} is fixed by the sum-to-one condition
+    over all families. Every selection schedules, as in the simulator, so
+    the idle state holds no mass. Inside the checked domain (0 < P_qne <= 1
+    and a normalization that does not underflow) every state is >= 0 and
+    the states sum to 1 by construction.
+    """
     if p_qne <= 0.0 or p_qne ** 2 == 0.0:
         raise SaturatedQueue(f"P_qne = {p_qne!r}; the RC-grid closed form divides "
                              "by P_qne^2, which must be > 0 in double precision")
@@ -118,4 +125,10 @@ def solve_cv2x(params: Cv2xParams, p_qne: float) -> Cv2xSolution:
     if w0 == 0.0:
         raise SaturatedQueue(f"P_qne = {p_qne!r}; the RC-grid mass overflows, so "
                              "its normalization underflows to 0")
-    return Cv2xSolution(p_qne=p_qne, w0=w0, params=params)
+    return w0
+
+
+def solve_cv2x(params: Cv2xParams, p_qne: float) -> Cv2xSolution:
+    """Mode 4 steady state for the queue's P_qne: validated params, normalized by `mode4_w0`."""
+    params.validate()
+    return Cv2xSolution(p_qne=p_qne, w0=mode4_w0(params, p_qne), params=params)

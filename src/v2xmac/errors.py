@@ -30,7 +30,11 @@ class DegenerateQueue(V2xMacError):
 
 
 class SaturatedQueue(V2xMacError):
-    """P_qne = 0, or a P_qne at which its normalization underflows, in the C-V2X closed form."""
+    """A closed form whose queue is never empty in double precision.
+
+    The C-V2X MAC at P_qne = 0, or at a P_qne at which its normalization
+    underflows; the device queue at rates at which its P_qe underflows to 0.
+    """
 
 
 class ChannelSaturated(V2xMacError):

@@ -11,6 +11,7 @@ closed-form field reaches both.
 """
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from v2xmac.errors import (ChannelSaturated, ConfigParseError, DegenerateQueue,
                            DegenerateTransmitProbability, InvalidArgument, SaturatedQueue,
                            V2xMacError)
 from v2xmac.metrics import avg_delay_dot11p, evaluate_fixed_point
-from v2xmac.traffic import solve_cam, solve_denm, solve_queue
+from v2xmac.traffic import queue_p_qe, solve_cam, solve_denm, solve_queue
 
 REL = 1e-12
 probability = st.floats(min_value=0.0, max_value=1.0)
@@ -92,6 +93,45 @@ def test_queue_that_nothing_enters_stays_empty(alpha, m_cap):
     q = solve_queue(alpha, 0.0, 0.0, m_cap)
     assert q.p_qe == 1.0 and q.delay_sum == 0.0
     assert list(q.pi) == [1.0] + [0.0] * m_cap
+
+
+@pytest.mark.parametrize("m_cap", [1, 10])
+def test_queue_that_nothing_enters_stays_empty_where_its_ratio_overflows(m_cap):
+    # alpha1 = 0 with alpha / beta = 3e299, whose powers overflow from M = 3 on
+    q = solve_queue(0.3, 0.0, 1e-300, m_cap)
+    assert q.p_qe == 1.0 and q.delay_sum == 0.0
+    assert list(q.pi) == [1.0] + [0.0] * m_cap
+
+
+def test_queue_whose_normalization_underflows_is_saturated():
+    # alpha / beta = 5e299: the mass above the empty queue overflows, so P_qe
+    # would be 0.0 and every state above it 0 times an overflowing power
+    for solve in (solve_queue, queue_p_qe):
+        with pytest.raises(SaturatedQueue):
+            solve(0.5, 0.5, 1e-300, 10)
+
+
+def test_queue_states_raise_only_typed_errors():
+    # log-uniform in-domain rates down to subnormal ones: a solve either
+    # raises a V2xMacError or gives finite states and delay weights
+    rng = random.Random(25)
+    solved = refused = 0
+    for _ in range(4000):
+        alpha, alpha1, beta = (10.0 ** rng.uniform(-323.0, 0.0) for _ in range(3))
+        if alpha + beta > 1.0:
+            continue
+        m_cap = rng.randint(1, 300)
+        try:
+            q = solve_queue(alpha, alpha1, beta, m_cap)
+            states = [q.state("q", i) for i in range(m_cap + 1)]
+            delay_sum = q.delay_sum
+        except V2xMacError:
+            refused += 1
+            continue
+        assert all(0.0 <= x < math.inf for x in states), (alpha, alpha1, beta, m_cap)
+        assert 0.0 <= delay_sum < math.inf
+        solved += 1
+    assert solved > 1000 and refused > 100
 
 
 def test_queue_p_qe_near_alpha_equal_beta():

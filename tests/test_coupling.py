@@ -2,14 +2,16 @@
 import pytest
 
 import dataclasses
+import math
 
 from chain_helpers import scenario
 from v2xmac.config import Dot11pParams, ScenarioConfig
 from v2xmac.coupling import (CouplingState, adaptive_cam_rate,
                              conserving_idle_exit, resolve_adaptive_t_c,
-                             solve_coupled, _sweep)
+                             solve_coupled, _cv2x_map, _search_range, _sweep)
 from v2xmac.dot11p import solve_dot11p, update_theta
-from v2xmac.errors import ConfigParseError, NoFixedPoint
+from v2xmac.errors import (ConfigParseError, DegenerateTransmitProbability, NoFixedPoint,
+                           SaturatedQueue, V2xMacError)
 
 
 def _dot11p_flows(rep, s):
@@ -173,6 +175,36 @@ class TestSolveCoupled:
         with pytest.raises(ConfigParseError) as err:
             solve_coupled(tech, ScenarioConfig(n=n))
         assert err.value.field == "n"
+
+
+def _outcome(evaluate):
+    """The value `evaluate` returns, or the type of the V2xMacError it raises."""
+    try:
+        return evaluate()
+    except V2xMacError as exc:
+        return type(exc)
+
+
+class TestScalarSweepMap:
+    @pytest.mark.parametrize("m", [1, 10])
+    @pytest.mark.parametrize("p_rk", [0.0, 0.4, 0.8])
+    @pytest.mark.parametrize("gamma", [20, 50, 100])
+    def test_is_the_object_sweep_bit_for_bit(self, gamma, p_rk, m):
+        # log-spaced across the search range, its ends, and points beyond
+        # them at which the generators (P_t = 0, 1e-17) or the MAC (P_t = 1,
+        # an always-empty queue) refuse
+        s = scenario(gamma=gamma, p_rk=p_rk, m=m)
+        low, high = _search_range("cv2x", s)
+        span = math.log(high / low)
+        p_ts = [low * math.exp(span * i / 40) for i in range(41)] + [
+            low, high, 0.0, 1e-17, 1.0]
+        outcomes = [(_outcome(lambda: _cv2x_map(s, p_t)),
+                     _outcome(lambda: _sweep("cv2x", s, p_t).p_t_out)) for p_t in p_ts]
+        for p_t, (scalar, solved) in zip(p_ts, outcomes):
+            assert scalar == solved, p_t
+        assert {scalar for scalar, _ in outcomes[-3:]} == {DegenerateTransmitProbability,
+                                                           SaturatedQueue}
+        assert all(isinstance(scalar, float) for scalar, _ in outcomes[:-3])
 
 
 class TestConservingIdleExit:
