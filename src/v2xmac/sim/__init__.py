@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -29,6 +30,12 @@ def run_sim(tech: str, scenario: ScenarioConfig, seed: int, duration_s: float,
     """
     if tech not in ("cv2x", "dot11p"):
         raise InvalidArgument(f"unknown technology {tech!r}")
+    try:
+        seed_ok = operator.index(seed) >= 0
+    except TypeError:
+        seed_ok = False
+    if not seed_ok:
+        raise InvalidArgument(f"seed must be a non-negative integer, not {seed!r}")
     if not (math.isfinite(duration_s) and duration_s >= MIN_DURATION_S):
         raise InvalidDuration(f"duration must be finite and >= {MIN_DURATION_S} s, "
                               f"not {duration_s}")

@@ -7,9 +7,9 @@ occupancy: a reservation becomes visible to others at the first transmission
 on the new cell, so vehicles reselecting in overlapping windows can pick the
 same cell, which is the modeled collision mechanism.
 
-Arrivals come in the one order of all vehicles' arrivals that
-`traffic.merge_arrivals` builds up front, sorted by (subframe, vid) and in
-stream order within one vehicle's subframe. At each subframe with an
+Arrivals come in one order of all vehicles' arrivals, built up front from
+the columns of `traffic.arrival_stream` with one sort by (subframe, vid),
+then by time, a CAM before a DENM at the same time. At each subframe with an
 arrival or an opportunity, the loop first queues that subframe's
 arrivals, each while fewer than M packets are queued and dropped
 otherwise, then runs its opportunities in the order they were scheduled,
@@ -27,7 +27,7 @@ import numpy as np
 
 from ..config import ScenarioConfig
 from .report import ReplicationStats, warmup_units
-from .traffic import KINDS, arrival_stream, merge_arrivals, vehicle_rngs
+from .traffic import KINDS, arrival_stream, vehicle_rngs
 
 SENSING_WINDOW_MS = 1000
 
@@ -59,14 +59,12 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
     warmup = warmup_units(duration_ms, 1000)
 
     vehicles = []
-    occupancy = np.zeros(n_cells)
+    occupancy4 = np.zeros(n_cells)   # 4.0 per other vehicle's announced reservation, by cell
+    score_buffer = np.empty(n_cells)
     ring = gamma + 1
     ops = [[] for _ in range(ring)]   # bucket t % ring: vids with an opportunity at t, in order
-    mac_rngs = []
-    streams = []              # per vehicle, its (time_us, kind) arrival rows
-    for vid in range(scenario.n):
-        traffic_rng, mac_rng = vehicle_rngs(seed, replication, vid)
-        streams.append(arrival_stream(traffic_rng, scenario.traffic, duration_ms * 1000))
+    traffic_rngs, mac_rngs = vehicle_rngs(seed, replication, scenario.n)
+    for vid, mac_rng in enumerate(mac_rngs):
         v = _Vehicle(vid)
         # steady-state start: an existing announced reservation per vehicle
         offset = int(mac_rng.integers(0, gamma))
@@ -74,14 +72,22 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
         v.cell = offset * csrs + csr
         v.rc = int(mac_rng.integers(p.r_low, p.r_high + 1))
         v.announced = True
-        occupancy[v.cell] += 1
+        occupancy4[v.cell] += 4.0
         v.own_history[v.cell] = 0
         ops[offset if offset > 0 else gamma].append(vid)
         vehicles.append(v)
-        mac_rngs.append(mac_rng)
 
-    subframes, vids, kinds = merge_arrivals(streams, 1000)
-    order = np.lexsort((vids, subframes))   # stable: stream order within a subframe
+    times, vids, kinds = arrival_stream(traffic_rngs, scenario.traffic, duration_ms * 1000)
+    del traffic_rngs
+    subframes = times // 1000
+    # by (subframe, vid), then in time order, a CAM before a DENM at the same
+    # time: keys (subframe N + vid, 2 time_us + kind), the second built in place
+    vehicle_key = subframes * scenario.n
+    vehicle_key += vids
+    time_key = np.multiply(times, 2, out=times)
+    time_key += kinds
+    order = np.lexsort((time_key, vehicle_key))
+    del times, time_key, vehicle_key
     arr_t, arr_vids, arr_kinds = (col[order].tolist() for col in (subframes, vids, kinds))
     del subframes, vids, kinds, order
     arr_t.append(duration_ms)   # a sentinel ends the arrivals
@@ -89,14 +95,15 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
     def select_new_cell(v, rng, now):
         """SPS steps 1-3 with occupancy standing in for RSSI sensing.
 
-        Callers drop the vehicle's own announcement first, so `occupancy`
+        Callers drop the vehicle's own announcement first, so `occupancy4`
         holds other vehicles' reservations only.
         """
-        scores = occupancy * 4.0 + rng.random(n_cells)
+        scores = rng.random(out=score_buffer)
+        scores += occupancy4
         for cell, last in v.own_history.items():
             if last >= now - SENSING_WINDOW_MS:
                 scores[cell] += 1e9  # half-duplex: own past cells are excluded
-        l2 = np.argpartition(scores, l2_size - 1)[:l2_size]
+        l2 = scores.argpartition(l2_size - 1)[:l2_size]
         return int(l2[rng.integers(0, l2_size)])
 
     transmissions = collided = 0
@@ -127,7 +134,7 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
         for vid in todo:
             v = vehicles[vid]
             if not v.announced:
-                occupancy[v.cell] += 1  # first SCI on the new cell
+                occupancy4[v.cell] += 4.0  # first SCI on the new cell
                 v.announced = True
             v.own_history[v.cell] = t
             if v.queue:
@@ -145,7 +152,7 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
                     v.rc = int(rng.integers(p.r_low, p.r_high + 1))
                     next_op = t + gamma
                 else:
-                    occupancy[v.cell] -= 1
+                    occupancy4[v.cell] -= 4.0
                     v.announced = False
                     new_cell = select_new_cell(v, rng, t)
                     offset = new_cell // csrs

@@ -13,8 +13,8 @@ Idle slots cost no events, and neither do backoff countdowns or the ends
 of transmissions. Only a burst start changes what a sensing vehicle sees,
 so each countdown is kept as the slot on which it would transmit, and the
 next burst starts on the earliest of them. The events left are arrivals,
-in the one order that `traffic.merge_arrivals` builds up front, the first
-slots of AIFS lines, on a heap, and burst starts.
+in one order built up front from the columns of `traffic.arrival_stream`
+with one sort, the first slots of AIFS lines, on a heap, and burst starts.
 
 An AIFS line starts one slot after its packet's arrival, or one idle-state
 slot after the vehicle's own transmission ends; an arrival during that
@@ -45,8 +45,8 @@ STAGE_BATCH at a time, and has one countdown at a time, so when a draw
 happens changes no value.
 
 Within a slot a burst start comes first, then the first slots of AIFS
-lines in vehicle order, then arrivals in vehicle order, a vehicle's CAM
-before its DENM.
+lines in vehicle order, then arrivals in vehicle order, a vehicle's CAMs
+before its DENMs, each kind in time order.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ import numpy as np
 from ..config import ScenarioConfig
 from ..errors import SimulatorInvariant
 from .report import ReplicationStats, warmup_units
-from .traffic import KINDS, arrival_stream, merge_arrivals, vehicle_rngs
+from .traffic import DENM, KINDS, arrival_stream, vehicle_rngs
 
 STAGE_BATCH = 64      # backoff draws taken from a vehicle's stream at a time
 
@@ -94,16 +94,19 @@ def run_replication(scenario: ScenarioConfig, seed: int, replication: int,
     num, den = slot_us.as_integer_ratio()
     duration_us = min(int(duration_s * 1e6), -(-duration_slots * num // den))
 
-    vehicles = []
-    delays = []               # per vehicle, its backoff delays in draw order
-    streams = []              # per vehicle, its (time_us, kind) arrival rows
-    for vid in range(scenario.n):
-        traffic_rng, mac_rng = vehicle_rngs(seed, replication, vid)
-        streams.append(arrival_stream(traffic_rng, scenario.traffic, duration_us))
-        vehicles.append(_Vehicle(vid))
-        delays.append(_backoff_delays(mac_rng, cmin))
-    slots, vids, kinds = merge_arrivals(streams, slot_us)
-    order = np.lexsort((kinds, vids, slots))   # a CAM before a DENM in the same slot
+    vehicles = [_Vehicle(vid) for vid in range(scenario.n)]
+    traffic_rngs, mac_rngs = vehicle_rngs(seed, replication, scenario.n)
+    delays = [_backoff_delays(rng, cmin) for rng in mac_rngs]   # per vehicle, in draw order
+    times, vids, kinds = arrival_stream(traffic_rngs, scenario.traffic, duration_us)
+    del traffic_rngs
+    slots = (times // slot_us).astype(np.int64)
+    # by (slot, vid), then a CAM before a DENM, each kind in time order: keys
+    # (slot N + vid, kind duration_us + time_us), the second built in place
+    vehicle_key = slots * scenario.n
+    vehicle_key += vids
+    time_key = np.add(times, duration_us, out=times, where=kinds == DENM)
+    order = np.lexsort((time_key, vehicle_key))
+    del times, time_key, vehicle_key
     arr_slots, arr_vids, arr_kinds = (col[order].tolist() for col in (slots, vids, kinds))
     del slots, vids, kinds, order
     arr_slots.append(duration_slots)   # a sentinel ends the arrivals

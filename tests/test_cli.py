@@ -151,6 +151,14 @@ class TestSimulateCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        cfg = write(tmp_path, "tech=cv2x\nn=3\n")
+        assert main([command, "--config", cfg, "--seed", "-1", "--duration-s", "10",
+                     "--replications", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: seed must be a non-negative integer, not -1\n"
+
     def test_trace_rejects_several_points(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(sim, "run_sim", lambda *a, **kw: calls.append(a))
@@ -246,6 +254,13 @@ def test_oracle_and_simulator_imports_load_no_scipy_and_no_process_pool():
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
             "('scipy', 'concurrent', 'multiprocessing')))")
     assert fresh_interpreter(code).strip() == "[]"
+
+
+def test_simulator_and_cli_imports_load_no_numpy_random():
+    # numpy loads numpy.random on first use: the simulators seed their
+    # generators in each replication, not at import
+    code = "import sys, v2xmac.sim, v2xmac.cli; print('numpy.random' in sys.modules)"
+    assert fresh_interpreter(code).strip() == "False"
 
 
 def test_building_a_chain_loads_scipy():

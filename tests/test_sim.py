@@ -1,6 +1,5 @@
 """Discrete-event simulator behavior: determinism, conservation, contracts."""
 import ast
-import itertools
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from v2xmac.sim import run_sim
 from v2xmac.sim.cv2x import run_replication as cv2x_rep
 from v2xmac.sim.dot11p import run_replication as dot11p_rep
 from v2xmac.sim.report import _mean_ci, warmup_units
-from v2xmac.sim.traffic import CAM, DENM, arrival_stream
+from v2xmac.sim.traffic import CAM, DENM, GAP_BATCH, arrival_stream, vehicle_rngs
 from v2xmac.traffic import solve_queue
 
 
@@ -48,50 +47,64 @@ def reference_arrival_stream(rng, params, duration_us):
     return out
 
 
+def stream_rows(rngs, params, duration_us):
+    """Each vehicle's arrivals from one arrival_stream call, as sorted (time_us, kind) tuples."""
+    times, vids, kinds = arrival_stream(rngs, params, duration_us)
+    assert (times.dtype, len(vids), len(kinds)) == (np.int64, len(times), len(times))
+    rows = [[] for _ in rngs]
+    for t, vid, kind in zip(times.tolist(), vids.tolist(), kinds.tolist()):
+        rows[vid].append((t, kind))
+    return [sorted(r) for r in rows]
+
+
+def seeded(seeds):
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
 class TestTrafficStream:
     @pytest.mark.parametrize("k", [1, 5, 9])
     @pytest.mark.parametrize("t_d", [2, 100, 1000])
-    @pytest.mark.parametrize("lam", [1e-3, 0.2, 5.0, 50.0])
+    @pytest.mark.parametrize("lam", [1e-3, 0.2, 5.0, 50.0, 500.0])
     def test_matches_reference(self, k, t_d, lam):
         p = TrafficParams(t_c=100, t_d=t_d, k=k, lam=lam)
         # durations that end inside a train as well as on whole seconds
-        for seed, duration_us in itertools.product(range(4), (10**7, 10**7 + 1_234_567,
-                                                               3 * t_d * 1000 + 1)):
-            rows = arrival_stream(np.random.default_rng(seed), p, duration_us)
-            want = reference_arrival_stream(np.random.default_rng(seed), p, duration_us)
-            assert rows.dtype == np.int64 and rows.shape == (len(want), 2)
-            assert [tuple(row) for row in rows.tolist()] == want
+        for duration_us in (10**7, 10**7 + 1_234_567, 3 * t_d * 1000 + 1):
+            rows = stream_rows(seeded(range(4)), p, duration_us)
+            assert rows == [reference_arrival_stream(rng, p, duration_us)
+                            for rng in seeded(range(4))]
+
+    def test_gap_batches_continue(self):
+        # 60 s at lambda = 500 and K = 1 take dozens of batches of gaps per vehicle
+        p = TrafficParams(t_c=100, t_d=2, k=1, lam=500.0)
+        rows = stream_rows(seeded(range(2)), p, 60 * 10**6)
+        assert rows == [reference_arrival_stream(rng, p, 60 * 10**6)
+                        for rng in seeded(range(2))]
+        assert all(sum(k == DENM for _, k in r) > 20 * GAP_BATCH for r in rows)
 
     def test_matches_reference_with_a_cut_train(self):
         # a train that the end of the run cuts short keeps only its early copies
         p = TrafficParams(t_c=1000, t_d=100, k=9, lam=50.0)
-        cut = 0
-        for seed in range(20):
-            rows = arrival_stream(np.random.default_rng(seed), p, 2_450_000)
-            want = reference_arrival_stream(np.random.default_rng(seed), p, 2_450_000)
-            assert [tuple(row) for row in rows.tolist()] == want
-            denms = [t for t, k in want if k == DENM]
-            cut += len(denms) % 9 != 0
-        assert cut > 0
+        rows = stream_rows(seeded(range(20)), p, 2_450_000)
+        want = [reference_arrival_stream(rng, p, 2_450_000) for rng in seeded(range(20))]
+        assert rows == want
+        assert any(sum(k == DENM for _, k in w) % 9 != 0 for w in want)
 
     def test_whole_number_floats_give_the_integer_stream(self):
-        ints = arrival_stream(np.random.default_rng(6), TrafficParams(t_d=30, k=4), 10**7)
-        floats = arrival_stream(np.random.default_rng(6),
+        ints = arrival_stream(seeded([6, 7]), TrafficParams(t_d=30, k=4), 10**7)
+        floats = arrival_stream(seeded([6, 7]),
                                 TrafficParams(t_c=100.0, t_d=30.0, k=4.0), 10**7)
-        assert floats.dtype == np.int64 and np.array_equal(ints, floats)
+        assert floats[0].dtype == np.int64
+        assert all(np.array_equal(a, b) for a, b in zip(ints, floats))
 
     def test_cam_is_periodic(self):
-        rng = np.random.default_rng(3)
         p = TrafficParams(t_c=100, lam=1e-9)
-        arr = arrival_stream(rng, p, 10_000_000)
-        cams = [t for t, k in arr if k == CAM]
-        gaps = np.diff(cams)
-        assert np.all(gaps == 100_000)
+        for arr in stream_rows(seeded([3, 4]), p, 10_000_000):
+            cams = [t for t, k in arr if k == CAM]
+            assert len(cams) == 100 and np.all(np.diff(cams) == 100_000)
 
     def test_denm_trains(self):
-        rng = np.random.default_rng(4)
         p = TrafficParams(t_c=1000, t_d=100, k=5, lam=5.0)
-        arr = arrival_stream(rng, p, 30_000_000)
+        [arr] = stream_rows(seeded([4]), p, 30_000_000)
         denms = [t for t, k in arr if k == DENM]
         # copies arrive in T_D-spaced runs of K
         gaps = np.diff(denms)
@@ -100,11 +113,32 @@ class TestTrafficStream:
     def test_rate_scales_with_lambda(self):
         p_lo = TrafficParams(t_c=1000, k=1, lam=0.2)
         p_hi = TrafficParams(t_c=1000, k=1, lam=2.0)
-        lo = len([1 for t, k in arrival_stream(np.random.default_rng(5), p_lo, 10**8)
-                  if k == DENM])
-        hi = len([1 for t, k in arrival_stream(np.random.default_rng(5), p_hi, 10**8)
-                  if k == DENM])
-        assert hi > 3 * lo
+        [lo] = stream_rows(seeded([5]), p_lo, 10**8)
+        [hi] = stream_rows(seeded([5]), p_hi, 10**8)
+        assert sum(k == DENM for _, k in hi) > 3 * sum(k == DENM for _, k in lo)
+
+
+class TestVehicleRngs:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 3] + [
+        int(s) for s in np.random.default_rng(40).integers(0, 2**40, size=4)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("replication", [0, 19, 2**33])
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_each_pair_is_its_spawned_seed_sequence(self, seed, replication, n):
+        pairs = vehicle_rngs(seed, replication, n)
+        assert [len(rngs) for rngs in pairs] == [n, n]
+        for vid in range(n):
+            for j, rng in enumerate(rngs[vid] for rngs in pairs):
+                want = np.random.SeedSequence(seed, spawn_key=(replication, vid, j))
+                assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64),
+                                      want.generate_state(4, np.uint64))
+                assert (rng.bit_generator.state
+                        == np.random.default_rng(want).bit_generator.state)
+
+    def test_a_negative_seed_is_refused(self):
+        with pytest.raises(InvalidArgument):
+            vehicle_rngs(-2**40, 0, 2)
 
 
 class TestDeterminismAndValidation:
@@ -161,6 +195,11 @@ class TestDeterminismAndValidation:
         with pytest.raises(InvalidDuration):
             run_sim("cv2x", scenario(), seed=1, duration_s=10, replications=0)
 
+    @pytest.mark.parametrize("seed", [-1, -2**70, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidArgument, match="seed must be a non-negative integer"):
+            run_sim("dot11p", scenario(), seed=seed, duration_s=10, replications=1)
+
     @pytest.mark.parametrize("tech", ["cv2x", "dot11p"])
     def test_parallel_merge_matches_serial(self, tech):
         s = scenario(n=6)
@@ -194,7 +233,8 @@ class TestConservation:
 
         monkeypatch.setattr(module, "arrival_stream", counting)
         assert module.run_replication(s, seed=4, replication=0, duration_s=10) == plain
-        assert len(calls) == 3
+        # one call per replication, holding every vehicle's generator
+        assert [len(args[0]) for args in calls] == [3]
 
     def test_dot11p_generates_every_streamed_arrival(self, monkeypatch):
         # 10 s hold 931,966.4 slots of 10.73 us and the run covers 931,966;
@@ -204,9 +244,9 @@ class TestConservation:
         lengths = []
 
         def recording(*args):
-            rows = arrival_stream(*args)
-            lengths.append(len(rows))
-            return rows
+            columns = arrival_stream(*args)
+            lengths.extend(np.bincount(columns[1], minlength=s.n).tolist())
+            return columns
 
         monkeypatch.setattr(sim_dot11p, "arrival_stream", recording)
         st = dot11p_rep(s, seed=165567, replication=0, duration_s=10.0)

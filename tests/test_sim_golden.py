@@ -28,6 +28,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from v2xmac.config import Cv2xParams, Dot11pParams, ScenarioConfig, TrafficParams
@@ -163,13 +164,13 @@ def test_trace_sink_leaves_stats_unchanged(tech, case):
 
 def denm_before_cam_ties(n, traffic, seed, unit_us):
     """Arrivals in replication 0 where a vehicle's DENM precedes its CAM within one unit."""
-    ties = 0
-    for vid in range(n):
-        rows = arrival_stream(vehicle_rngs(seed, 0, vid)[0], traffic, int(DURATION_S * 1e6))
-        units, kinds = rows[:-1, 0] // unit_us, rows[:-1, 1]
-        ties += int(((units == rows[1:, 0] // unit_us)
-                     & (kinds == DENM) & (rows[1:, 1] == CAM)).sum())
-    return ties
+    times, vids, kinds = arrival_stream(vehicle_rngs(seed, 0, n)[0], traffic,
+                                        int(DURATION_S * 1e6))
+    order = np.lexsort((kinds, times, vids))   # each vehicle's arrivals in (time, kind) order
+    times, vids, kinds = times[order], vids[order], kinds[order]
+    units = times // unit_us
+    return int(((vids[:-1] == vids[1:]) & (units[:-1] == units[1:])
+                & (kinds[:-1] == DENM) & (kinds[1:] == CAM)).sum())
 
 
 @pytest.mark.parametrize("tech", ["dot11p", "cv2x"])
