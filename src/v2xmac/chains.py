@@ -2,14 +2,15 @@
 
 The five chains (CAM generator, DENM generator, device queue, C-V2X Mode 4,
 IEEE 802.11p) are materialized as explicit row-stochastic matrices so that
-every closed-form solution elsewhere in the package can be checked against a
-plain linear solve of pi P = pi, and the 802.11p per-state delays against
+every closed-form solution elsewhere in the package can be checked against an
+exact solve of pi P = pi, and the 802.11p per-state delays against
 exact mean first-passage times. `closed_form_states` maps a closed-form
 solution onto the same state labels the builders use.
 
-Importing this module loads numpy only; the sparse builders and solvers
-import scipy when first called, so code that imports the oracle without
-building a chain never pays for scipy.
+Each chain is a tuple of sparse rows, one {column: probability} dict per
+state, and both solvers run one Grassmann-Taksar-Heyman state reduction over
+those rows. Importing this module, building a chain and solving it load
+numpy only.
 
 State enumeration is fixed and documented per chain (row-major over the
 (i, j) grids) so that regression snapshots stay stable; `_states` is its one
@@ -24,9 +25,9 @@ source:
 """
 from __future__ import annotations
 
-import warnings
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,35 +35,38 @@ from .config import ScenarioConfig
 from .dot11p import check_omega, dot11p_stages
 from .errors import NoConvergence, NonStochasticMatrix, UnknownChainKind
 
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
-
 ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
 CHAIN_KINDS = ("cam", "denm", "queue", "cv2x", "dot11p")
 
+Rows = Tuple[Dict[int, float], ...]
+
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic transition matrix with a state-name-to-index map."""
+    """Row-stochastic transition matrix with a state-name-to-index map.
 
-    rows: csr_matrix
+    rows[i] maps each state j that state i can move to in one step to the
+    probability of that step; absent columns are 0.
+    """
+
+    rows: Rows
     labels: Dict[str, int]
 
     @property
     def n(self) -> int:
-        return self.rows.shape[0]
+        return len(self.rows)
 
     def __post_init__(self):
-        n = self.rows.shape[0]
-        if self.rows.shape != (n, n):
-            raise NonStochasticMatrix("matrix must be square")
-        data = self.rows.data
-        if data.size and (data.min() < -ROW_SUM_TOL or data.max() > 1 + ROW_SUM_TOL):
+        n = self.n
+        src, dst, p = _entries(self.rows)
+        if dst.size and (dst.min() < 0 or dst.max() >= n):
+            raise NonStochasticMatrix("matrix must be square: columns must lie in [0, n)")
+        if p.size and not (p.min() >= -ROW_SUM_TOL and p.max() <= 1 + ROW_SUM_TOL):
             raise NonStochasticMatrix("entries must lie in [0, 1]")
-        sums = np.asarray(self.rows.sum(axis=1)).ravel()
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
+        sums = np.bincount(src, weights=p, minlength=n)
+        bad = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
         if bad.any():
             i = int(np.argmax(bad))
             raise NonStochasticMatrix(f"row {i} sums to {sums[i]!r}")
@@ -80,39 +84,97 @@ class SteadyStateVector:
         return float(self.probs[self.labels[state]])
 
 
-def _linear_solve(a, b) -> np.ndarray:
-    """Solve the sparse system a x = b; a singular or non-finite result raises."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import MatrixRankWarning, spsolve
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MatrixRankWarning)
-            x = np.atleast_1d(spsolve(csr_matrix(a), b))
-    except Exception as exc:  # singular factorization
-        raise NoConvergence(f"linear solve failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise NoConvergence("linear solve produced non-finite entries")
-    return x
+def _entries(rows: Rows) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (row, column, probability) arrays of every stored entry."""
+    count = sum(len(row) for row in rows)
+    src = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    dst = np.fromiter((j for row in rows for j in row), dtype=np.int64, count=count)
+    p = np.fromiter((v for row in rows for v in row.values()), dtype=float, count=count)
+    return src, dst, p
+
+
+def _reduce(rows: List[Dict[int, float]], steps: Optional[List[float]] = None):
+    """Grassmann-Taksar-Heyman state reduction, from the highest state down.
+
+    Eliminating state k folds it into the states below it: each i < k with
+    an entry p_ik gains p_ik p_kj / s_k on every j < k, where s_k is the sum
+    of row k's entries to lower states. Dividing by s_k, never by 1 - p_kk,
+    keeps every step free of subtraction (Grassmann, Taksar and Heyman,
+    Oper. Res. 33(5), 1985). `steps[i]`, when given, is the expected number
+    of steps from i to its next visit to the states not yet eliminated, and
+    gains p_ik steps[k] / s_k.
+
+    `rows` is rewritten in place: once k is eliminated, row k holds its
+    entries j <= k of that moment and column k is moved out of the rows
+    below it. Returns the root, the highest k with s_k = 0 or else 0, with
+    s_k and the moved column {i: p_ik} of every eliminated state k.
+    """
+    n = len(rows)
+    into = [set() for _ in range(n)]   # into[j]: the states i < j with an entry to j
+    for i, row in enumerate(rows):
+        for j in row:
+            if i < j:
+                into[j].add(i)
+    sums = [0.0] * n
+    cols: List[Dict[int, float]] = [{} for _ in range(n)]
+    for k in range(n - 1, 0, -1):
+        lower = [(j, p) for j, p in rows[k].items() if j < k]
+        s_k = sum(p for _, p in lower)
+        if s_k == 0.0:
+            return k, sums, cols
+        sums[k] = s_k
+        cols[k] = {i: rows[i].pop(k) for i in into[k]}
+        for i, p_ik in cols[k].items():
+            f = p_ik / s_k
+            row = rows[i]
+            for j, p in lower:
+                row[j] = row.get(j, 0.0) + f * p
+                if i < j:
+                    into[j].add(i)
+            if steps is not None:
+                steps[i] += f * steps[k]
+    return 0, sums, cols
+
+
+def _target_first(rows, target: int):
+    """The state order with `target` first, and `rows` in that order with `target` absorbing."""
+    order = [target] + [k for k in range(len(rows)) if k != target]
+    at = {old: new for new, old in enumerate(order)}
+    return order, [{0: 1.0}] + [{at[j]: p for j, p in rows[old].items()} for old in order[1:]]
+
+
+def _label_of(m: TransitionMatrix, k: int) -> str:
+    return next(label for label, index in m.labels.items() if index == k)
 
 
 def solve_steady_state(m: TransitionMatrix) -> SteadyStateVector:
-    """Solve pi P = pi, sum(pi) = 1 as a linear system.
+    """Solve pi P = pi, sum(pi) = 1 exactly by state reduction.
 
-    One balance equation is replaced by the normalization row, so periodic
-    chains (which defeat power iteration) still solve exactly.
+    The reduction runs down to the root, state 0 or the highest state that
+    cannot reach a lower one; pi is then built upward from the root, state k
+    from the columns into k that the reduction moved out, and normalized.
+    The states below a higher root are transient and get pi = 0, which holds
+    only if every one of them reaches the root: otherwise the chain has
+    several closed classes and NoConvergence is raised. Periodic chains,
+    which defeat power iteration, solve exactly.
     """
-    from scipy.sparse import identity
     n = m.n
-    a = (m.rows.T - identity(n, format="csr")).tolil()
-    a[n - 1, :] = 1.0
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    pi = _linear_solve(a, b)
-    residual = float(np.max(np.abs(pi @ m.rows - pi)))
-    if residual > RESIDUAL_TOL or abs(pi.sum() - 1.0) > RESIDUAL_TOL:
-        raise NoConvergence(
-            f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
-            "chain is likely reducible with several closed classes")
+    rows = [dict(row) for row in m.rows]
+    root, sums, cols = _reduce(rows)
+    # rows[:root + 1] is now the chain watched only on the states up to the root
+    if root and _reduce(_target_first(rows[:root + 1], root)[1])[0]:
+        raise NoConvergence(f"some state cannot reach {_label_of(m, root)!r}, which "
+                            "reaches no lower state: the chain has several closed classes")
+    x = [0.0] * n
+    x[root] = 1.0
+    for k in range(root + 1, n):
+        x[k] = sum(x[i] * p for i, p in cols[k].items()) / sums[k]
+    pi = np.array(x)
+    pi /= pi.sum()
+    src, dst, p = _entries(m.rows)
+    residual = float(np.max(np.abs(np.bincount(dst, weights=pi[src] * p, minlength=n) - pi)))
+    if not (residual <= RESIDUAL_TOL and abs(pi.sum() - 1.0) <= RESIDUAL_TOL):
+        raise NoConvergence(f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
     pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
     return SteadyStateVector(probs=pi, labels=m.labels, residual=residual)
 
@@ -120,21 +182,31 @@ def solve_steady_state(m: TransitionMatrix) -> SteadyStateVector:
 def hitting_times(m: TransitionMatrix, target: str) -> Dict[str, float]:
     """Expected steps from each state to its first visit of `target`, by label.
 
-    The target itself has 0. With Q the transitions among the other states,
-    the mean first-passage times solve (I - Q) d = 1 (Kemeny and Snell,
-    Finite Markov Chains, 1960). A state that cannot reach `target` makes
-    I - Q singular, which raises NoConvergence.
+    The target itself has 0. The target moves to the root and absorbs, and
+    the state reduction carries each state's steps per reduced transition;
+    the times are then built upward from the root. They solve (I - Q) d = 1,
+    with Q the transitions among the other states (Kemeny and Snell, Finite
+    Markov Chains, 1960), which is checked. A state that cannot reach
+    `target` raises NoConvergence.
     """
-    from scipy.sparse import identity
-    t = m.labels[target]
-    rest = np.delete(np.arange(m.n), t)
-    a = identity(m.n - 1, format="csr") - m.rows[rest][:, rest]
-    d = _linear_solve(a, np.ones(m.n - 1))
-    residual = float(np.max(np.abs(a @ d - 1.0)))
-    if residual > RESIDUAL_TOL * max(1.0, float(d.max())):
+    n, t = m.n, m.labels[target]
+    order, rows = _target_first(m.rows, t)
+    steps = [1.0] * n
+    root, sums, _ = _reduce(rows, steps)
+    if root:
+        raise NoConvergence(f"state {_label_of(m, order[root])!r} cannot reach {target!r}")
+    d = [0.0] * n
+    for k in range(1, n):
+        d[k] = (steps[k] + sum(p * d[j] for j, p in rows[k].items() if j < k)) / sums[k]
+    times = np.empty(n)
+    times[order] = d
+    src, dst, p = _entries(m.rows)
+    # times[t] = 0 leaves the target's column out of Q d
+    excess = times - np.bincount(src, weights=p * times[dst], minlength=n) - 1.0
+    residual = float(np.max(np.abs(np.delete(excess, t)), initial=0.0))
+    if not residual <= RESIDUAL_TOL * max(1.0, float(times.max())):
         raise NoConvergence(f"hitting-time residual {residual:.3e}; "
                             f"some state cannot reach {target!r}")
-    times = np.insert(d, t, 0.0)
     return {label: float(times[k]) for label, k in m.labels.items()}
 
 
@@ -197,10 +269,9 @@ def _states(kind: str, params: ScenarioConfig) -> List[Tuple[str, str, object]]:
 
 def build_chain(kind: str, params: ScenarioConfig, coupling: CouplingInputs) -> TransitionMatrix:
     """Materialize one of the five chains as an explicit TransitionMatrix."""
-    from scipy.sparse import csr_matrix, lil_matrix
     states = _states(kind, params)
     at = {(family, index): k for k, (_, family, index) in enumerate(states)}
-    m = lil_matrix((len(states), len(states)))
+    m = [defaultdict(float) for _ in states]
     if kind == "cam":
         _build_generator(m, at, params.traffic.t_c, coupling.p_t, denm=False)
     elif kind == "denm":
@@ -213,7 +284,7 @@ def build_chain(kind: str, params: ScenarioConfig, coupling: CouplingInputs) -> 
         _build_cv2x(m, at, params, coupling)
     else:
         _build_dot11p(m, at, params, coupling)
-    return TransitionMatrix(rows=csr_matrix(m),
+    return TransitionMatrix(rows=tuple({j: p for j, p in row.items() if p} for row in m),
                             labels={label: k for k, (label, _, _) in enumerate(states)})
 
 
@@ -243,36 +314,36 @@ def _build_generator(m, at, t_l: int, p_t: float, denm: bool, k: int = 1,
     tx = lambda j: at["tx", j]
     txp = lambda j: at["txp", j]
     for j in range(1, t_l):
-        m[tx(j), tx(j - 1)] = 1.0
-        m[txp(j), tx(j - 1)] = p_t
-        m[txp(j), txp(j - 1)] = q
-    m[txp(0), txp(t_l - 1)] = 1.0
+        m[tx(j)][tx(j - 1)] = 1.0
+        m[txp(j)][tx(j - 1)] = p_t
+        m[txp(j)][txp(j - 1)] = q
+    m[txp(0)][txp(t_l - 1)] = 1.0
     if denm:
         idle = at["idle", None]
         f = 1.0 - 1.0 / k
-        m[idle, idle] = 1.0 - sigma
-        m[idle, tx(0)] = sigma
-        m[tx(0), idle] = 1.0 / k
+        m[idle][idle] = 1.0 - sigma
+        m[idle][tx(0)] = sigma
+        m[tx(0)][idle] = 1.0 / k
         if f > 0.0:
-            m[tx(0), tx(t_l - 1)] = f * p_t
-            m[tx(0), txp(t_l - 1)] = f * q
+            m[tx(0)][tx(t_l - 1)] = f * p_t
+            m[tx(0)][txp(t_l - 1)] = f * q
     else:
-        m[tx(0), tx(t_l - 1)] = p_t
-        m[tx(0), txp(t_l - 1)] = q
+        m[tx(0)][tx(t_l - 1)] = p_t
+        m[tx(0)][txp(t_l - 1)] = q
 
 
 def _build_queue(m, at, alpha: float, alpha1: float, beta: float, m_cap: int):
     """Birth-death device queue on 0..M; arrivals at a full queue are dropped."""
     q = lambda i: at["q", i]
-    m[q(0), q(0)] = 1.0 - alpha1
+    m[q(0)][q(0)] = 1.0 - alpha1
     if m_cap >= 1:
-        m[q(0), q(1)] = alpha1
+        m[q(0)][q(1)] = alpha1
     for i in range(1, m_cap):
-        m[q(i), q(i + 1)] = alpha
-        m[q(i), q(i - 1)] = beta
-        m[q(i), q(i)] = 1.0 - alpha - beta
-    m[q(m_cap), q(m_cap - 1)] = beta
-    m[q(m_cap), q(m_cap)] = 1.0 - beta
+        m[q(i)][q(i + 1)] = alpha
+        m[q(i)][q(i - 1)] = beta
+        m[q(i)][q(i)] = 1.0 - alpha - beta
+    m[q(m_cap)][q(m_cap - 1)] = beta
+    m[q(m_cap)][q(m_cap)] = 1.0 - beta
 
 
 def _build_cv2x(m, at, params: ScenarioConfig, c: CouplingInputs):
@@ -296,29 +367,29 @@ def _build_cv2x(m, at, params: ScenarioConfig, c: CouplingInputs):
     w = lambda j: at["w", j]
     rc = lambda i, j: at["rc", (i, j)]
 
-    m[idle, idle] = 1.0 - a
+    m[idle][idle] = 1.0 - a
     for j in range(g - 1):
-        m[idle, w(j)] = a / (g - 1)
+        m[idle][w(j)] = a / (g - 1)
     for j in range(1, g - 1):
-        m[w(j), w(j - 1)] = 1.0
+        m[w(j)][w(j - 1)] = 1.0
     for i in range(rl, rh + 1):
-        m[w(0), rc(i, g - 1)] = 1.0 / w_cnt
+        m[w(0)][rc(i, g - 1)] = 1.0 / w_cnt
     for i in range(1, rh + 1):
         gated = i >= rl
         for j in range(1, g):
             if gated:
-                m[rc(i, j), rc(i, j - 1)] = p_qne
-                m[rc(i, j), rc(i, j)] = p_qe
+                m[rc(i, j)][rc(i, j - 1)] = p_qne
+                m[rc(i, j)][rc(i, j)] = p_qe
             else:
-                m[rc(i, j), rc(i, j - 1)] = 1.0
+                m[rc(i, j)][rc(i, j - 1)] = 1.0
         if i >= 2:
-            m[rc(i, 0), rc(i - 1, g - 1)] = p_qne
-            m[rc(i, 0), rc(i, g - 1)] = p_qe
+            m[rc(i, 0)][rc(i - 1, g - 1)] = p_qne
+            m[rc(i, 0)][rc(i, g - 1)] = p_qe
     # (1, 0): transmit, then keep the CSR or reselect via the waiting line
-    m[rc(1, 0), rc(1, g - 1)] = p_qe
-    m[rc(1, 0), w(g - 2)] = p_qne * p.p_rk
+    m[rc(1, 0)][rc(1, g - 1)] = p_qe
+    m[rc(1, 0)][w(g - 2)] = p_qne * p.p_rk
     for j in range(g - 1):
-        m[rc(1, 0), w(j)] += p_qne * (1.0 - p.p_rk) / (g - 1)
+        m[rc(1, 0)][w(j)] += p_qne * (1.0 - p.p_rk) / (g - 1)
 
 
 def _build_dot11p(m, at, params: ScenarioConfig, c: CouplingInputs):
@@ -337,33 +408,33 @@ def _build_dot11p(m, at, params: ScenarioConfig, c: CouplingInputs):
     stages = dot11p_stages(cmin)
     idle = at["idle", None]
 
-    m[idle, idle] = 1.0 - c.h
-    m[idle, at["a", 1]] = c.h
+    m[idle][idle] = 1.0 - c.h
+    m[idle][at["a", 1]] = c.h
     for i in range(1, om):
-        m[at["a", i], at["a", i + 1]] = 1.0 - theta
-    m[at["a", om], at["txm", 1]] = 1.0 - theta
+        m[at["a", i]][at["a", i + 1]] = 1.0 - theta
+    m[at["a", om]][at["txm", 1]] = 1.0 - theta
     for i in range(1, th + 1):
-        m[at["a", 1], at["b", i]] = theta / th
+        m[at["a", 1]][at["b", i]] = theta / th
     for i in range(2, om + 1):
-        m[at["a", i], at["b", 1]] = theta
+        m[at["a", i]][at["b", 1]] = theta
     for i in range(1, th):
-        m[at["b", i], at["b", i + 1]] = 1.0
+        m[at["b", i]][at["b", i + 1]] = 1.0
     for s in stages:
         weight = 2.0 / cmin if s == 0 else 1.0 / cmin
         entry = at["bo", (s, 1)]
-        m[at["b", th], entry] += weight
+        m[at["b", th]][entry] += weight
         for j in range(1, om - 1):
-            m[at["bo", (s, j)], at["bo", (s, j + 1)]] = 1.0
-        m[at["bo", (s, om - 1)], at["sense", s]] = 1.0
-        m[at["sense", s], at["delta", (s, 1)]] = theta
+            m[at["bo", (s, j)]][at["bo", (s, j + 1)]] = 1.0
+        m[at["bo", (s, om - 1)]][at["sense", s]] = 1.0
+        m[at["sense", s]][at["delta", (s, 1)]] = theta
         for j in range(1, th):
-            m[at["delta", (s, j)], at["delta", (s, j + 1)]] = 1.0
-        m[at["delta", (s, th)], entry] = 1.0
+            m[at["delta", (s, j)]][at["delta", (s, j + 1)]] = 1.0
+        m[at["delta", (s, th)]][entry] = 1.0
     for pos, s in enumerate(stages):
         if s == 0:
-            m[at["sense", 0], at["txm", 1]] = 1.0 - theta
+            m[at["sense", 0]][at["txm", 1]] = 1.0 - theta
         else:
-            m[at["sense", s], at["sense", stages[pos - 1]]] = 1.0 - theta
+            m[at["sense", s]][at["sense", stages[pos - 1]]] = 1.0 - theta
     for i in range(1, th):
-        m[at["txm", i], at["txm", i + 1]] = 1.0
-    m[at["txm", th], idle] = 1.0
+        m[at["txm", i]][at["txm", i + 1]] = 1.0
+    m[at["txm", th]][idle] = 1.0

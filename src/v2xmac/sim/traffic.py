@@ -18,7 +18,7 @@ import operator
 
 import numpy as np
 
-from ..config import TrafficParams
+from ..config import SUBFRAME_US, TrafficParams
 from ..errors import InvalidArgument
 
 CAM = 0
@@ -130,13 +130,21 @@ def arrival_stream(rngs, params: TrafficParams, duration_us: int):
 
     rngs[vid] is vehicle vid's traffic generator, which draws its CAM phase
     and then its DENM trigger gaps, a batch at a time. The rows come in no
-    particular order: each simulator sorts them.
+    particular order: each simulator sorts them. A vehicle's DENM triggers
+    may come at most once per 1 ms subframe on average (lambda <= 1000/s at
+    K = 1; a train of K > 1 copies blocks triggers for longer than that).
+    Faster triggers raise InvalidArgument before any draw: at K = 1 their
+    gaps round to 0 us and the stream would never end.
     """
     t_c_us = int(params.t_c) * 1000
     t_d_us = int(params.t_d) * 1000
     k = int(params.k)
     scale = 1.0 / params.lam
     block_us = (k - 1) * t_d_us   # triggers are blocked during a train
+    if scale * 1e6 + block_us < SUBFRAME_US:
+        raise InvalidArgument(
+            f"lambda = {params.lam!r}/s with K = {k} triggers DENMs more often than "
+            f"once per {SUBFRAME_US:g} us subframe on average, the most the simulator takes")
     # about the number of gaps a vehicle draws, with room for their spread
     expected = duration_us / (scale * 1e6 + block_us)
     batch = min(GAP_BATCH, int(expected + 3 * math.sqrt(expected)) + 2)

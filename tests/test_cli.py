@@ -159,6 +159,18 @@ class TestSimulateCommand:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: seed must be a non-negative integer, not -1\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_untakeable_trigger_rate_exits_2(self, tmp_path, command):
+        # at K = 1 such triggers come 0 us apart: the arrival stream never ended
+        cfg = write(tmp_path, "tech=cv2x\nn=3\ntraffic.lambda=1e300\ntraffic.k=1\n")
+        run = subprocess.run([sys.executable, "-m", "v2xmac.cli", command, "--config", cfg,
+                              "--seed", "1", "--duration-s", "10", "--replications", "1"],
+                             capture_output=True, text=True, env=this_v2xmac_env(), timeout=60)
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr == ("error: lambda = 1e+300/s with K = 1 triggers DENMs more often "
+                              "than once per 1000 us subframe on average, the most the "
+                              "simulator takes\n")
+
     def test_trace_rejects_several_points(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(sim, "run_sim", lambda *a, **kw: calls.append(a))
@@ -235,21 +247,25 @@ HEAVY_MODULES = ("sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 
                  "or m.startswith('v2xmac.sim'))")
 
 
+def this_v2xmac_env():
+    """The environment of a new interpreter that imports this v2xmac."""
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+
 def fresh_interpreter(code):
     """stdout of `code` run in a new interpreter that imports this v2xmac."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=env).stdout
+                          text=True, check=True, env=this_v2xmac_env()).stdout
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is the oracle's dependency only, numpy that of the state arrays and
-    # the simulator, which simulate and compare alone load; the CLI pays none
+    # numpy is the dependency of the oracle, the state arrays and the
+    # simulator, which simulate and compare alone load; the CLI pays none
     assert fresh_interpreter(f"import sys, v2xmac.cli; print({HEAVY_MODULES})").strip() == "[]"
 
 
 def test_oracle_and_simulator_imports_load_no_scipy_and_no_process_pool():
-    # scipy loads with the first explicit chain, the pool with --jobs > 1
+    # the process pool loads with --jobs > 1
     code = ("import sys, v2xmac.chains, v2xmac.sim, v2xmac.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
             "('scipy', 'concurrent', 'multiprocessing')))")
@@ -263,18 +279,22 @@ def test_simulator_and_cli_imports_load_no_numpy_random():
     assert fresh_interpreter(code).strip() == "False"
 
 
-def test_building_a_chain_loads_scipy():
+def test_building_and_solving_a_chain_loads_no_scipy():
+    # the oracle's state reduction runs on numpy and plain dicts alone
     code = textwrap.dedent("""
         import sys
-        from v2xmac.chains import CouplingInputs, build_chain, solve_steady_state
+        from v2xmac.chains import CouplingInputs, build_chain, hitting_times, solve_steady_state
         from v2xmac.config import ScenarioConfig
-        before = 'scipy' in sys.modules
-        pi = solve_steady_state(build_chain('queue', ScenarioConfig(), CouplingInputs()))
-        print(before, 'scipy' in sys.modules, len(pi.probs), repr(float(pi.probs.sum())))
+        s, c = ScenarioConfig(), CouplingInputs(theta=0.3)
+        pi = solve_steady_state(build_chain('queue', s, c))
+        d = hitting_times(build_chain('dot11p', s, c), 'idle')
+        print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),
+              len(pi.probs), repr(float(pi.probs.sum())), len(d), d['idle'])
     """)
-    before, after, n, total = fresh_interpreter(code).split()
-    assert (before, after) == ("False", "True")
+    loaded, n, total, states, idle = fresh_interpreter(code).split()
+    assert loaded == "[]"
     assert int(n) == 11 and float(total) == pytest.approx(1.0, abs=1e-12)
+    assert int(states) == 360 and float(idle) == 0.0
 
 
 def test_solving_every_recipe_loads_no_numpy(tmp_path):

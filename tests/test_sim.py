@@ -89,6 +89,23 @@ class TestTrafficStream:
         assert rows == want
         assert any(sum(k == DENM for _, k in w) % 9 != 0 for w in want)
 
+    @pytest.mark.parametrize("lam,k", [(1000.0001, 1), (1e300, 1)])
+    def test_untakeable_trigger_rate_refused_before_any_draw(self, lam, k):
+        # more than one trigger per subframe on average; at K = 1 and 1e300 the
+        # gaps round to 0 us and the stream never ended
+        [rng] = seeded([1])
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidArgument, match="once per 1000 us subframe"):
+            arrival_stream([rng], TrafficParams(lam=lam, k=k), 10**7)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("lam,k,t_d", [(1000.0, 1, 2), (1e300, 2, 2)])
+    def test_fastest_takeable_trigger_rates(self, lam, k, t_d):
+        # one trigger per subframe on average at K = 1; a train blocks them at K > 1
+        p = TrafficParams(t_c=100, t_d=t_d, k=k, lam=lam)
+        rows = stream_rows(seeded(range(2)), p, 10**6)
+        assert rows == [reference_arrival_stream(rng, p, 10**6) for rng in seeded(range(2))]
+
     def test_whole_number_floats_give_the_integer_stream(self):
         ints = arrival_stream(seeded([6, 7]), TrafficParams(t_d=30, k=4), 10**7)
         floats = arrival_stream(seeded([6, 7]),
@@ -383,6 +400,19 @@ def _package_nodes(match):
 def test_package_has_no_assert_statements():
     # python -O strips assert, so an invariant must raise a typed V2xMacError
     assert _package_nodes(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def _imports_scipy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+
+def test_package_and_project_need_no_scipy():
+    # the oracle's state reduction replaced the sparse solver, the one user
+    assert _package_nodes(_imports_scipy) == []
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert "scipy" not in pyproject.read_text().lower()
 
 
 def _raises_bare_value_error(node):
